@@ -16,12 +16,11 @@ from .reduction import (
     ReductionTrace,
     alpha_reduce,
     beta_reduce,
-    divisor_chain,
     reachability_divisor,
     reduce,
 )
 from .recovery import ComponentIndexSequence, recover_cis
-from .fnf import FnfBlock, FnfResult, compute_fnf, extract_blocks, permutation_from_cis
+from .fnf import FnfBlock, FnfResult, compute_fnf
 from . import oracle
 
 __version__ = "0.1.0"
@@ -38,7 +37,6 @@ __all__ = [
     "ReductionTrace",
     "alpha_reduce",
     "beta_reduce",
-    "divisor_chain",
     "reachability_divisor",
     "reduce",
     "ComponentIndexSequence",
@@ -46,8 +44,6 @@ __all__ = [
     "FnfBlock",
     "FnfResult",
     "compute_fnf",
-    "extract_blocks",
-    "permutation_from_cis",
     "oracle",
     "__version__",
 ]

@@ -79,12 +79,19 @@ def parse_input(text: str) -> list[float]:
         raw = doc["first_row"]
         if not isinstance(raw, list) or not raw:
             raise InputError('"first_row" must be a nonempty array of numbers')
+        # bool is a subclass of int, so compare exact types
+        if not all(type(x) is float or type(x) is int for x in raw):
+            raise InputError('"first_row" must contain only numbers')
         try:
             values = [float(x) for x in raw]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f'"first_row" must contain only numbers: {exc}') from exc
-        if "n" in doc and doc["n"] != len(values):
-            raise InputError(f'declared order {doc["n"]} does not match row length {len(values)}')
+        except OverflowError as exc:
+            raise InputError(f'"first_row" entries must be finite: {exc}') from exc
+        if "n" in doc:
+            if type(doc["n"]) is not int:
+                raise InputError(f'declared order {doc["n"]!r} must be an integer')
+            if doc["n"] != len(values):
+                raise InputError(
+                    f'declared order {doc["n"]} does not match row length {len(values)}')
     else:
         try:
             values = [float(tok) for tok in text.split()]
@@ -283,23 +290,6 @@ def generate_offsets(n: int, k: int, policy: str, rng: np.random.Generator) -> n
     raise InputError(f"unknown policy {policy!r}; expected one of {BENCH_POLICIES}")
 
 
-def _prepare_allocator_for_timing() -> None:
-    """Ask glibc to keep large buffers in the arena across runs.
-
-    Without this every pipeline pass above the mmap threshold is returned
-    to the kernel on free and page-faulted back in on the next run, and the
-    timings measure the allocator instead of the computation.  Best effort:
-    silently skipped where mallopt is unavailable.
-    """
-    try:
-        import ctypes
-        libc = ctypes.CDLL("libc.so.6")
-        libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
-    except (OSError, AttributeError):
-        pass
-
-
 @dataclass
 class BenchRow:
     n: int
@@ -342,7 +332,6 @@ def run_bench(sizes: list[int], policy: str = "uniform", seed: int = 0,
         raise InputError("sizes must be strictly ascending")
     if reps < 1:
         raise InputError("reps must be at least 1")
-    _prepare_allocator_for_timing()
     rng = np.random.default_rng(seed)
     rows = []
     for n in sizes:

@@ -25,8 +25,8 @@ __all__ = [
 class FirstRow:
     """First row of a symmetric Toeplitz matrix of order ``n >= 1``.
 
-    Entries are held as a read-only float64 vector; index ``i`` is the
-    constant value of the ``i``-th diagonal.  Zero tests are exact float
+    Entries are held as a read-only, finite float64 vector; index ``i`` is
+    the constant value of the ``i``-th diagonal.  Zero tests are exact float
     comparison; callers that want a tolerance should clean their input
     before constructing the row.
     """
@@ -39,6 +39,13 @@ class FirstRow:
             raise ValueError(f"first row must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("first row must contain at least one entry")
+        # a finite sum of squares proves every entry finite without a
+        # temporary; the elementwise test runs only when it is not (a
+        # non-finite entry, or an entry so large its square overflows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares_finite = np.isfinite(arr @ arr)
+        if not (squares_finite or np.isfinite(arr).all()):
+            raise ValueError("first row entries must be finite")
         arr.setflags(write=False)
         self.entries = arr
 

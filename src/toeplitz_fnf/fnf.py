@@ -3,14 +3,17 @@
 Each component of the graph attached to a symmetric Toeplitz first row is,
 after relabelling its vertices ``n_1 < ... < n_k`` as ``1..k``, again the
 graph of a symmetric Toeplitz matrix whose first row reads off the original
-one at offsets ``n_l - n_1``.  Gathering those rows per component and
-listing the vertices block by block yields a permutation under which the
-full matrix becomes the direct sum of irreducible symmetric Toeplitz
-blocks.
+one at offsets ``n_l - n_1``.  Listing the vertices component by component
+yields a permutation under which the full matrix becomes the direct sum of
+irreducible symmetric Toeplitz blocks; cut at the block bounds, that
+permutation already is the decomposition, so blocks are built only when
+read.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +26,6 @@ __all__ = [
     "BLOCK_ORDERS",
     "FnfBlock",
     "FnfResult",
-    "extract_blocks",
-    "permutation_from_cis",
     "compute_fnf",
 ]
 
@@ -58,133 +59,132 @@ class FnfBlock:
 
 @dataclass(frozen=True, eq=False)
 class FnfResult:
-    """Full decomposition: labelling, blocks in output order, permutation.
+    """Full decomposition: labelling, permutation cut into blocks, trace.
 
     ``permutation[p]`` is the original (1-based) vertex placed at position
     ``p + 1``; gathering the original matrix at those indices on both axes
-    produces the direct sum of the blocks, in order.  ``cis`` keeps the
+    produces the direct sum of the blocks, in order.  Block ``k`` owns
+    ``permutation[block_bounds[k]:block_bounds[k + 1]]``.  ``cis`` keeps the
     labels produced by the trace replay and is not renumbered when blocks
     are reordered.
     """
 
-    n: int
-    component_count: int
+    row: FirstRow
     cis: ComponentIndexSequence
-    blocks: tuple[FnfBlock, ...]
     permutation: np.ndarray
+    block_bounds: np.ndarray
     trace: ReductionTrace
 
     def __post_init__(self) -> None:
-        if sum(b.size for b in self.blocks) != self.n:
-            raise ValueError("block sizes must sum to the order")
-        if len(self.blocks) != self.component_count:
-            raise ValueError("one block per component expected")
-        if self.permutation.size != self.n:
+        if self.permutation.size != self.row.n:
             raise ValueError("permutation must have length n")
+        bounds = self.block_bounds
+        if bounds.size != self.cis.c + 1 or bounds[0] != 0 or bounds[-1] != self.row.n:
+            raise ValueError("block bounds must cut 0..n into one block per component")
         self.permutation.setflags(write=False)
+        bounds.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.row.n
+
+    @property
+    def component_count(self) -> int:
+        return self.cis.c
+
+    @property
+    def blocks(self) -> BlockViews:
+        """The blocks in output order, each built when it is read."""
+        return BlockViews(self)
 
 
-def _group_by_label(cis: ComponentIndexSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex positions grouped by label.
+class BlockViews(Sequence):
+    """Read-only sequence of the blocks of an :class:`FnfResult`.
 
-    Returns ``(order, bounds, anchors)``: ``order`` holds the 0-based
-    positions sorted by label then by position, ``bounds`` delimits label
-    ``k`` as ``order[bounds[k]:bounds[k+1]]``, and ``anchors[k]`` is the
-    smallest position carrying label ``k + 1``.
+    Each access builds one :class:`FnfBlock` whose ``vertices`` is a slice
+    of the permutation and whose ``first_row`` reads the input row at
+    ``vertices - vertices[0]``: a slice of it when the vertices are
+    consecutive, a gather otherwise.
+    """
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: FnfResult) -> None:
+        self._result = result
+
+    def __len__(self) -> int:
+        return self._result.block_bounds.size - 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._block, range(*k.indices(len(self)))))
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("block index out of range")
+        return self._block(k)
+
+    def __iter__(self):
+        return map(self._block, range(len(self)))
+
+    def _block(self, k: int) -> FnfBlock:
+        lo, hi = self._result.block_bounds[k:k + 2].tolist()
+        vertices = self._result.permutation[lo:hi]
+        entries = self._result.row.entries
+        # vertices increase, so equal spans mean a run of consecutive ones
+        if vertices[-1] - vertices[0] == hi - lo - 1:
+            first_row = entries[:hi - lo]
+        else:
+            first_row = entries[vertices - vertices[0]]
+        return FnfBlock(size=hi - lo, first_row=first_row, vertices=vertices)
+
+
+def _group_by_label(cis: ComponentIndexSequence) -> tuple[np.ndarray, np.ndarray]:
+    """1-based vertices grouped by label, and the bounds of each group.
+
+    Label ``k`` owns ``vertices[bounds[k-1]:bounds[k]]``, in increasing
+    order.
     """
     dtype = cis.rho.dtype
     if cis.c == 1:
-        return (np.arange(cis.n, dtype=dtype), np.array([0, cis.n]),
-                np.zeros(1, dtype=dtype))
+        return np.arange(1, cis.n + 1, dtype=dtype), np.array([0, cis.n])
+    vertices = np.argsort(cis.rho, kind="stable").astype(dtype, copy=False)
+    vertices += 1
     counts = np.bincount(cis.rho, minlength=cis.c + 1)[1:]
-    order = np.argsort(cis.rho, kind="stable").astype(dtype, copy=False)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    anchors = order[bounds[:-1]]
-    return order, bounds, anchors
+    return vertices, np.concatenate(([0], np.cumsum(counts)))
 
 
-def extract_blocks(cis: ComponentIndexSequence, row: FirstRow) -> list[FnfBlock]:
-    """Read off each component's first row from the original one.
-
-    Blocks come out in label order ``1..c``.  Within a component with
-    vertices ``n_1 < ... < n_k``, position ``l`` of the block row holds the
-    original entry at offset ``n_{l+1} - n_1``; in particular position 0
-    carries the diagonal value ``a_0``.
-    """
-    if cis.n != row.n:
-        raise ValueError(f"labelling order {cis.n} does not match row order {row.n}")
-    order, bounds, anchors = _group_by_label(cis)
-    counts = np.diff(bounds)
-    rel = order - np.repeat(anchors, counts)
-    values = row.entries[rel]
-    blocks = []
-    for k in range(cis.c):
-        lo, hi = bounds[k], bounds[k + 1]
-        blocks.append(FnfBlock(size=int(counts[k]),
-                               first_row=values[lo:hi].copy(),
-                               vertices=order[lo:hi] + 1))
-    return blocks
-
-
-def _block_sequence(cis: ComponentIndexSequence, bounds: np.ndarray, anchors: np.ndarray,
-                    block_order: str) -> np.ndarray:
+def _lay_out(vertices: np.ndarray, bounds: np.ndarray,
+             block_order: str) -> tuple[np.ndarray, np.ndarray]:
+    """Put the label-ordered groups end to end in ``block_order``."""
+    if block_order not in BLOCK_ORDERS:
+        raise ValueError(f"unknown block order {block_order!r}; expected one of {BLOCK_ORDERS}")
     if block_order == "discovered":
-        return np.arange(cis.c)
-    if block_order == "canonical":
-        sizes = np.diff(bounds)
-        return np.lexsort((anchors, -sizes))
-    raise ValueError(f"unknown block order {block_order!r}; expected one of {BLOCK_ORDERS}")
-
-
-def permutation_from_cis(cis: ComponentIndexSequence,
-                         block_order: str = "canonical") -> np.ndarray:
-    """Vertex sequence realising the block-diagonal permutation.
-
-    Lists every block's vertices in increasing label order, block after
-    block in the requested ordering.  Entry ``p`` is the original 1-based
-    vertex placed at position ``p + 1``.
-    """
-    order, bounds, anchors = _group_by_label(cis)
-    seq = _block_sequence(cis, bounds, anchors, block_order)
-    parts = [order[bounds[k]:bounds[k + 1]] for k in seq]
-    return np.concatenate(parts) + 1
+        return vertices, bounds
+    sizes = np.diff(bounds)
+    seq = np.lexsort((vertices[bounds[:-1]], -sizes))
+    if np.array_equal(seq, np.arange(seq.size)):
+        return vertices, bounds
+    sizes = sizes[seq]
+    new_bounds = np.concatenate(([0], np.cumsum(sizes)))
+    # position in ``vertices`` of every output slot
+    source = np.repeat((bounds[seq] - new_bounds[:-1]).astype(vertices.dtype), sizes)
+    source += np.arange(vertices.size, dtype=vertices.dtype)
+    return vertices[source], new_bounds
 
 
 def compute_fnf(row: FirstRow, block_order: str = "canonical") -> FnfResult:
     """Full pipeline from a first row to its Frobenius normal form.
 
-    Runs offset extraction, the reduction loop, the trace replay, and block
-    assembly; total work is linear in the order of the matrix.
+    Runs offset extraction, the reduction loop, the trace replay, and the
+    grouping of vertices into blocks; total work is linear in the order of
+    the matrix.
     """
     offset_set = offsets_from_row(row)
-    trace, count = reduce(offset_set.n, offset_set.offsets)
+    trace, _ = reduce(offset_set.n, offset_set.offsets)
     cis = recover_cis(trace)
-
-    if count == 1:
-        # single block: the general grouping below degenerates to identity,
-        # and the (read-only) input row doubles as the block row
-        vertices = np.arange(1, row.n + 1, dtype=cis.rho.dtype)
-        block = FnfBlock(size=row.n, first_row=row.entries, vertices=vertices)
-        return FnfResult(n=row.n, component_count=1, cis=cis, blocks=(block,),
-                         permutation=vertices, trace=trace)
-
-    order, bounds, anchors = _group_by_label(cis)
-    seq = _block_sequence(cis, bounds, anchors, block_order)
-
-    counts = np.diff(bounds)
-    rel = order - np.repeat(anchors, counts)
-    values = row.entries[rel]
-
-    blocks = []
-    parts = []
-    for k in seq:
-        lo, hi = bounds[k], bounds[k + 1]
-        vertices = order[lo:hi] + 1
-        blocks.append(FnfBlock(size=int(counts[k]),
-                               first_row=values[lo:hi].copy(),
-                               vertices=vertices))
-        parts.append(vertices)
-    permutation = np.concatenate(parts)
-
-    return FnfResult(n=row.n, component_count=count, cis=cis,
-                     blocks=tuple(blocks), permutation=permutation, trace=trace)
+    vertices, bounds = _group_by_label(cis)
+    permutation, bounds = _lay_out(vertices, bounds, block_order)
+    return FnfResult(row=row, cis=cis, permutation=permutation, block_bounds=bounds,
+                     trace=trace)

@@ -3,9 +3,9 @@
 Everything here works on materialised vertex/edge data and favours
 obviousness over speed: union-find and breadth-first search for component
 partitions, direct pair scans for step-reachability, residue-class
-quotients, cycle-structure checks, and an exhaustive principal-submatrix
-search.  The fast pipeline is validated against these throughout the test
-suite and by the ``verify`` command.
+quotients, the plain gcd scan, cycle-structure checks, and an exhaustive
+principal-submatrix search.  The fast pipeline is validated against these
+throughout the test suite and by the ``verify`` command.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "components_bfs",
     "toeplitz_component_labels",
     "is_d_reachable",
+    "divisor_chain",
     "contract",
     "cycle_structure_check",
     "is_principal_submatrix",
@@ -197,6 +198,28 @@ def is_d_reachable(g: ExplicitGraph, d: int) -> bool:
         raise ValueError(f"step {d} out of range for {g.n} vertices")
     dsu = _union_all(g)
     return all(dsu.connected(v - 1, v + d - 1) for v in range(1, g.n - d + 1))
+
+
+def divisor_chain(n: int, offsets: Iterable[int]) -> list[int]:
+    """Divisor values visited by the one-offset-at-a-time gcd scan.
+
+    Plain transcription of the scan behind
+    :func:`toeplitz_fnf.reduction.reachability_divisor`; the last element
+    equals its result.
+    """
+    s_list = [int(s) for s in offsets]
+    if not s_list:
+        raise ValueError("offset set must be nonempty")
+    d = s_list[0]
+    if 2 * d > n:
+        raise ValueError(f"need 2*min(offsets) <= n, got min={d} with n={n}")
+    chain = [d]
+    for s in s_list[1:]:
+        if s > n - d:
+            break
+        d = gcd(d, s)
+        chain.append(d)
+    return chain
 
 
 def contract(g: ExplicitGraph, d: int) -> QuotientGraph:

@@ -61,13 +61,6 @@ class ComponentIndexSequence:
     def __repr__(self) -> str:
         return f"ComponentIndexSequence(n={self.n}, c={self.c})"
 
-    def partition(self) -> list[tuple[int, ...]]:
-        """Component classes as tuples of increasing vertex labels."""
-        order = np.argsort(self.rho, kind="stable")
-        bounds = np.cumsum(np.bincount(self.rho - 1, minlength=self.c))
-        groups = np.split(order + 1, bounds[:-1])
-        return [tuple(g.tolist()) for g in groups]
-
 
 def _extend_periodic(out: np.ndarray, start: int, d: int) -> None:
     """Fill ``out[start:]`` with ``out[p] = out[p - d]``.
@@ -96,7 +89,6 @@ def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
     for step in reversed(trace.steps):
         out = np.empty(step.n_before, dtype=dtype)
         if step.kind == ALPHA:
-            assert step.n_after % 2 == 0, "alpha replay needs an even folded order"
             half = step.n_after // 2
             width = step.n_before - step.n_after
             out[:half] = rho[:half]

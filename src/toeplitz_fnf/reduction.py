@@ -36,7 +36,6 @@ __all__ = [
     "ReductionStep",
     "ReductionTrace",
     "reachability_divisor",
-    "divisor_chain",
     "alpha_reduce",
     "beta_reduce",
     "reduce",
@@ -159,27 +158,6 @@ def reachability_divisor(n: int, offsets: Iterable[int] | np.ndarray) -> int:
     return d
 
 
-def divisor_chain(n: int, offsets: Iterable[int] | np.ndarray) -> list[int]:
-    """Divisor values visited by the one-offset-at-a-time scan.
-
-    Plain transcription kept around as a cross-check for
-    :func:`reachability_divisor`; the last element equals its result.
-    """
-    s_list = [int(s) for s in _as_offset_array(offsets)]
-    if not s_list:
-        raise ValueError("offset set must be nonempty")
-    d = s_list[0]
-    if 2 * d > n:
-        raise ValueError(f"need 2*min(offsets) <= n, got min={d} with n={n}")
-    chain = [d]
-    for s in s_list[1:]:
-        if s > n - d:
-            break
-        d = gcd(d, s)
-        chain.append(d)
-    return chain
-
-
 def alpha_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.ndarray, int]:
     """Drop the edge-free middle band of an instance with ``2 * min(S) > n``.
 
@@ -196,10 +174,7 @@ def alpha_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.n
     if s_arr[-1] > n - 1:
         raise ValueError("offsets must lie below the order")
     m = 2 * s0 - n
-    n_after = n - m
-    # min(S) <= n-1 forces m <= n-2, so at least two vertices survive.
-    assert n_after >= 2
-    return n_after, s_arr - m, m
+    return n - m, s_arr - m, m
 
 
 def _beta_fold(n: int, s_arr: np.ndarray, d: int) -> tuple[int, np.ndarray]:
@@ -245,13 +220,11 @@ def reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[ReductionTrace,
 
     steps: list[ReductionStep] = []
     n_i = n
-    lost = 0
     while s_arr.size:
         s0 = int(s_arr[0])
         if 2 * s0 > n_i:
             n_next, s_arr, m = alpha_reduce(n_i, s_arr)
             steps.append(ReductionStep(ALPHA, n_i, n_next, s0, m))
-            lost += m
         else:
             d = reachability_divisor(n_i, s_arr)
             n_next, s_arr = _beta_fold(n_i, s_arr, d)
@@ -259,6 +232,4 @@ def reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[ReductionTrace,
         n_i = n_next
 
     trace = ReductionTrace(tuple(steps), n_i)
-    count = lost + n_i
-    assert count == trace.component_count
-    return trace, count
+    return trace, trace.component_count

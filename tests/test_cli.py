@@ -63,6 +63,18 @@ class TestParseInput:
         with pytest.raises(InputError):
             parse_input('{"first_row": [0, 1e999]}')
 
+    def test_rejects_non_numeric_json(self):
+        for doc in ('{"first_row": [true, false, true]}',
+                    '{"first_row": [0, 1, false]}',
+                    '{"first_row": [0, "1"]}',
+                    '{"first_row": [0, null]}',
+                    '{"first_row": [0, 1], "n": 2.0}',
+                    '{"first_row": [1], "n": true}',
+                    '{"first_row": [0, 1], "n": "2"}',
+                    '{"first_row": [0, 1%s]}' % ("0" * 400)):
+            with pytest.raises(InputError):
+                parse_input(doc)
+
 
 class TestDocuments:
     def test_round_trip(self):

@@ -28,6 +28,13 @@ class TestFirstRow:
     def test_order_one_is_legal(self):
         assert FirstRow([7.0]).n == 1
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                FirstRow([0.0, bad, 0.0, 1.0])
+        # squares overflow, entries are finite
+        assert FirstRow([0.0, 1e200, -1e300]).n == 3
+
     def test_equality(self):
         assert FirstRow([0, 1]) == FirstRow([0.0, 1.0])
         assert FirstRow([0, 1]) != FirstRow([0, 2])

@@ -1,29 +1,18 @@
 import numpy as np
 import pytest
 
-from toeplitz_fnf import (
-    FirstRow,
-    compute_fnf,
-    extract_blocks,
-    permutation_from_cis,
-    recover_cis,
-    reduce,
-    row_from_offsets,
-)
+from toeplitz_fnf import FirstRow, compute_fnf, row_from_offsets
+from toeplitz_fnf.fnf import BLOCK_ORDERS, _lay_out
 from toeplitz_fnf import oracle
 
 from conftest import random_instance
 
 
-def _cis_for(n, offsets):
-    trace, _ = reduce(n, offsets)
-    return recover_cis(trace)
-
-
 class TestExtractBlocks:
+    """Block rows read off the input row, per component."""
+
     def test_golden_31_blocks(self):
-        row = row_from_offsets(31, [12, 18, 24, 29])
-        blocks = extract_blocks(_cis_for(31, [12, 18, 24, 29]), row)
+        blocks = compute_fnf(row_from_offsets(31, [12, 18, 24, 29])).blocks
         by_size = sorted(blocks, key=lambda b: -b.size)
         assert [b.size for b in by_size] == [16, 5, 5, 5]
         for b in by_size[1:]:
@@ -32,23 +21,18 @@ class TestExtractBlocks:
 
     def test_weighted_seven_vertex_row(self):
         row = FirstRow([0, 0, 3, 0, 8, 0, 9])
-        blocks = extract_blocks(_cis_for(7, [2, 4, 6]), row)
+        blocks = compute_fnf(row).blocks
         got = {tuple(b.vertices.tolist()): b.first_row.tolist() for b in blocks}
         assert got == {(1, 3, 5, 7): [0, 3, 8, 9], (2, 4, 6): [0, 3, 8]}
         # cross-check against direct entry lookups on the original row
         assert [row.entries[v - 1] for v in (1, 3, 5, 7)] == [0, 3, 8, 9]
 
     def test_isolated_vertices_keep_diagonal(self):
-        row = FirstRow([5, 0, 0])
-        blocks = extract_blocks(_cis_for(3, []), row)
+        blocks = compute_fnf(FirstRow([5, 0, 0])).blocks
         assert len(blocks) == 3
         for b in blocks:
             assert b.size == 1
             assert b.first_row.tolist() == [5]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            extract_blocks(_cis_for(3, []), FirstRow([0, 0, 0, 0]))
 
     def test_block_rows_read_original_entries(self):
         rng = np.random.default_rng(61)
@@ -61,42 +45,59 @@ class TestExtractBlocks:
             for s in offsets:
                 entries[s] = weights[s] if weights[s] != 0 else 1.0
             row = FirstRow(entries)
-            for b in extract_blocks(_cis_for(n, offsets), row):
-                anchor = b.vertices[0]
-                for pos, v in enumerate(b.vertices):
-                    assert b.first_row[pos] == row.entries[v - anchor]
+            for order in BLOCK_ORDERS:
+                for b in compute_fnf(row, order).blocks:
+                    anchor = b.vertices[0]
+                    for pos, v in enumerate(b.vertices):
+                        assert b.first_row[pos] == row.entries[v - anchor]
 
 
 class TestPermutationFromCis:
+    """The permutation lays the component vertex lists end to end."""
+
     def test_golden_31_canonical_order(self):
-        cis = _cis_for(31, [12, 18, 24, 29])
-        pi = permutation_from_cis(cis, "canonical")
+        pi = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]), "canonical").permutation
         assert pi[:16].tolist() == [1, 2, 6, 7, 8, 12, 13, 14, 18, 19, 20, 24, 25, 26, 30, 31]
         assert pi[16:21].tolist() == [3, 9, 15, 21, 27]
         assert pi[21:26].tolist() == [4, 10, 16, 22, 28]
         assert pi[26:].tolist() == [5, 11, 17, 23, 29]
 
     def test_single_component_identity(self):
-        cis = _cis_for(5, [1])
-        for order in ("canonical", "discovered"):
-            assert permutation_from_cis(cis, order).tolist() == [1, 2, 3, 4, 5]
+        row = row_from_offsets(5, [1])
+        for order in BLOCK_ORDERS:
+            assert compute_fnf(row, order).permutation.tolist() == [1, 2, 3, 4, 5]
 
     def test_all_isolated_identity(self):
-        cis = _cis_for(3, [])
-        assert permutation_from_cis(cis, "discovered").tolist() == [1, 2, 3]
+        row = row_from_offsets(3, [])
+        for order in BLOCK_ORDERS:
+            assert compute_fnf(row, order).permutation.tolist() == [1, 2, 3]
 
     def test_is_always_a_bijection(self):
         rng = np.random.default_rng(62)
         for _ in range(200):
             n, offsets = random_instance(rng, n_hi=128)
-            cis = _cis_for(n, offsets)
-            for order in ("canonical", "discovered"):
-                pi = permutation_from_cis(cis, order)
+            row = row_from_offsets(n, offsets)
+            for order in BLOCK_ORDERS:
+                res = compute_fnf(row, order)
+                pi = res.permutation
                 assert sorted(pi.tolist()) == list(range(1, n + 1))
+                assert np.concatenate([b.vertices for b in res.blocks]).tolist() == pi.tolist()
+
+    def test_canonical_layout_moves_whole_blocks(self):
+        # groups in label order: [1], [2, 4], [3, 5, 6]
+        vertices = np.array([1, 2, 4, 3, 5, 6], dtype=np.int32)
+        bounds = np.array([0, 1, 3, 6])
+        pi, new_bounds = _lay_out(vertices, bounds, "canonical")
+        assert pi.tolist() == [3, 5, 6, 2, 4, 1]
+        assert new_bounds.tolist() == [0, 3, 5, 6]
+        pi, new_bounds = _lay_out(vertices, bounds, "discovered")
+        assert pi.tolist() == vertices.tolist()
+        assert new_bounds.tolist() == bounds.tolist()
 
     def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            permutation_from_cis(_cis_for(3, []), "sideways")
+        for offsets in ([], [1]):
+            with pytest.raises(ValueError):
+                compute_fnf(row_from_offsets(3, offsets), "sideways")
 
 
 class TestComputeFnf:
@@ -190,3 +191,30 @@ class TestComputeFnf:
         assert sum(b.size for b in res.blocks) == res.n
         assert len(res.blocks) == res.component_count
         assert res.trace.component_count == res.component_count
+        assert res.block_bounds.tolist() == [0, *np.cumsum([b.size for b in res.blocks])]
+
+    def test_blocks_are_read_only_views(self):
+        res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
+        blocks = res.blocks
+        assert len(blocks) == 4
+        assert [b.size for b in blocks] == [16, 5, 5, 5]
+        assert blocks[-1].vertices.tolist() == blocks[3].vertices.tolist()
+        assert [b.size for b in blocks[1:]] == [5, 5, 5]
+        assert [b.size for b in blocks[::-2]] == [5, 5]
+        with pytest.raises(IndexError):
+            blocks[4]
+        with pytest.raises(IndexError):
+            blocks[-5]
+        for b in blocks:
+            assert not b.first_row.flags.writeable
+            assert not b.vertices.flags.writeable
+            with pytest.raises(ValueError):
+                b.vertices[0] = 0
+        assert not res.permutation.flags.writeable
+        assert not res.block_bounds.flags.writeable
+        # one component: the block row is a slice of the input, not a copy
+        row = FirstRow([1.0, 0.0, 2.0, 3.0, 0.0])
+        res = compute_fnf(row)
+        assert res.component_count == 1
+        assert np.shares_memory(res.blocks[0].first_row, row.entries)
+        assert res.blocks[0].first_row.tolist() == row.entries.tolist()

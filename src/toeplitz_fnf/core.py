@@ -70,22 +70,27 @@ class OffsetSet:
 
     For a row this is the set of diagonals ``i >= 1`` with a nonzero entry.
     The diagonal ``a_0`` never appears: loops do not affect which vertices
-    of the associated graph are connected.
+    of the associated graph are connected.  This class is the one place the
+    contract is checked; the set keeps a read-only int64 array of its own,
+    so an array passed in is copied, never frozen in its caller's hands.
     """
 
     __slots__ = ("n", "offsets")
 
     def __init__(self, n: int, offsets: Iterable[int] | np.ndarray) -> None:
+        self._adopt(n, np.array(offsets if isinstance(offsets, np.ndarray) else list(offsets),
+                                dtype=np.int64))
+
+    def _adopt(self, n: int, arr: np.ndarray) -> None:
+        """Check the contract on an int64 array no caller holds, then freeze it."""
         if n < 1:
             raise ValueError(f"order must be at least 1, got {n}")
-        arr = np.array(list(offsets) if not isinstance(offsets, np.ndarray) else offsets,
-                       dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("offsets must be one-dimensional")
         if arr.size:
             if arr[0] < 1 or arr[-1] > n - 1:
-                raise ValueError(f"offsets must lie in [1, {n - 1}], got {arr.tolist()}")
-            if np.any(np.diff(arr) <= 0):
+                raise ValueError(f"offsets must lie in [1, {n - 1}], got {arr[0]}..{arr[-1]}")
+            if np.any(arr[1:] <= arr[:-1]):
                 raise ValueError("offsets must be strictly increasing")
         arr.setflags(write=False)
         self.n = int(n)
@@ -115,20 +120,23 @@ def offsets_from_row(row: FirstRow) -> OffsetSet:
 
     ``a_0`` is excluded regardless of its value.
     """
-    offsets = np.flatnonzero(row.entries[1:] != 0.0).astype(np.int64) + 1
-    return OffsetSet(row.n, offsets)
+    offsets = np.flatnonzero(row.entries[1:] != 0.0).astype(np.int64, copy=False)
+    offsets += 1
+    offset_set = OffsetSet.__new__(OffsetSet)
+    offset_set._adopt(row.n, offsets)
+    return offset_set
 
 
 def row_from_offsets(n: int, offsets: Iterable[int], value: float = 1.0,
                      diagonal: float = 0.0) -> FirstRow:
-    """Build the boolean-style first row with ``value`` at each offset."""
+    """Build the boolean-style first row with ``value`` at each offset.
+
+    ``offsets`` must meet the :class:`OffsetSet` contract.
+    """
+    idx = OffsetSet(n, offsets).offsets
     entries = np.zeros(n, dtype=np.float64)
     entries[0] = diagonal
-    idx = np.asarray(list(offsets), dtype=np.int64)
-    if idx.size:
-        if idx.min() < 1 or idx.max() > n - 1:
-            raise ValueError(f"offsets must lie in [1, {n - 1}]")
-        entries[idx] = value
+    entries[idx] = value
     return FirstRow(entries)
 
 

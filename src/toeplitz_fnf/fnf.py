@@ -23,17 +23,10 @@ from .recovery import ComponentIndexSequence, recover_cis
 from .reduction import ReductionTrace, reduce
 
 __all__ = [
-    "BLOCK_ORDERS",
     "FnfBlock",
     "FnfResult",
     "compute_fnf",
 ]
-
-#: Supported block orderings: ``canonical`` sorts blocks by decreasing size
-#: (ties broken by smallest vertex label); ``discovered`` keeps the order in
-#: which the labelling numbers the components.
-BLOCK_ORDERS = ("canonical", "discovered")
-
 
 @dataclass(frozen=True, eq=False)
 class FnfBlock:
@@ -64,9 +57,10 @@ class FnfResult:
     ``permutation[p]`` is the original (1-based) vertex placed at position
     ``p + 1``; gathering the original matrix at those indices on both axes
     produces the direct sum of the blocks, in order.  Block ``k`` owns
-    ``permutation[block_bounds[k]:block_bounds[k + 1]]``.  ``cis`` keeps the
-    labels produced by the trace replay and is not renumbered when blocks
-    are reordered.
+    ``permutation[block_bounds[k]:block_bounds[k + 1]]``, which are exactly
+    the vertices with label ``k + 1`` in ``cis``.  The trace replay numbers
+    components canonically (see :mod:`toeplitz_fnf.recovery`), so blocks
+    come by decreasing size, ties broken by smallest vertex.
     """
 
     row: FirstRow
@@ -155,36 +149,15 @@ def _group_by_label(cis: ComponentIndexSequence) -> tuple[np.ndarray, np.ndarray
     return vertices, np.concatenate(([0], np.cumsum(counts)))
 
 
-def _lay_out(vertices: np.ndarray, bounds: np.ndarray,
-             block_order: str) -> tuple[np.ndarray, np.ndarray]:
-    """Put the label-ordered groups end to end in ``block_order``."""
-    if block_order not in BLOCK_ORDERS:
-        raise ValueError(f"unknown block order {block_order!r}; expected one of {BLOCK_ORDERS}")
-    if block_order == "discovered":
-        return vertices, bounds
-    sizes = np.diff(bounds)
-    seq = np.lexsort((vertices[bounds[:-1]], -sizes))
-    if np.array_equal(seq, np.arange(seq.size)):
-        return vertices, bounds
-    sizes = sizes[seq]
-    new_bounds = np.concatenate(([0], np.cumsum(sizes)))
-    # position in ``vertices`` of every output slot
-    source = np.repeat((bounds[seq] - new_bounds[:-1]).astype(vertices.dtype), sizes)
-    source += np.arange(vertices.size, dtype=vertices.dtype)
-    return vertices[source], new_bounds
-
-
-def compute_fnf(row: FirstRow, block_order: str = "canonical") -> FnfResult:
+def compute_fnf(row: FirstRow) -> FnfResult:
     """Full pipeline from a first row to its Frobenius normal form.
 
     Runs offset extraction, the reduction loop, the trace replay, and the
     grouping of vertices into blocks; total work is linear in the order of
     the matrix.
     """
-    offset_set = offsets_from_row(row)
-    trace, _ = reduce(offset_set.n, offset_set.offsets)
+    trace, _ = reduce(offsets_from_row(row))
     cis = recover_cis(trace)
-    vertices, bounds = _group_by_label(cis)
-    permutation, bounds = _lay_out(vertices, bounds, block_order)
+    permutation, bounds = _group_by_label(cis)
     return FnfResult(row=row, cis=cis, permutation=permutation, block_bounds=bounds,
                      trace=trace)

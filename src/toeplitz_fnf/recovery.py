@@ -11,6 +11,29 @@ larger instance:
 
 Total work is proportional to the sum of the orders along the trace, which
 the beta shrink factor keeps at ``O(n)``.
+
+The labels already number the components in canonical block order: by
+decreasing size, ties broken by smallest vertex.  Below, positions are
+0-based, ``C`` and ``C'`` are components, and ``C(x)`` counts the vertices
+of ``C`` in ``[0, x)``.
+
+1. *Labels follow first occurrence.*  The terminal ``arange`` numbers
+   vertices in order.  Undoing a beta step gives ``out[p] = rho[p mod d]``:
+   when ``r = n mod d > 0`` the fold added offset ``d``, which joins ``j``
+   to ``j + d`` for ``j < r``, so every label already first occurs in
+   ``[0, d)``.  After an alpha step the instance has order ``2h`` and
+   smallest offset ``h``, so every right-half vertex is joined to a
+   left-half one and all old labels first occur before the band.  The
+   band's fresh labels exceed all old ones and increase left to right.
+2. *Prefix domination.*  If ``min C < min C'`` then ``C(x) >= C'(x)`` for
+   every ``x``.  Undoing a beta step, ``x = kd + y`` with ``0 <= y < d``
+   gives ``C(x) = k C(d) + C(y)``, both counted in the folded instance,
+   where each term is dominated.  Undoing an alpha step shifts the old
+   components as a whole; the band singletons are dominated by every old
+   component, since each has a vertex left of the band.
+
+By (1) label order is the order of smallest vertices, and by (2) with
+``x = n`` sizes do not increase along it, so it is the canonical order.
 """
 
 from __future__ import annotations

@@ -30,6 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .core import OffsetSet
+
 __all__ = [
     "ALPHA",
     "BETA",
@@ -113,14 +115,6 @@ class ReductionTrace:
         return sum(step.c for step in self.steps) + self.n_final
 
 
-def _as_offset_array(offsets: Iterable[int] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(offsets if isinstance(offsets, np.ndarray) else list(offsets),
-                     dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("offsets must be one-dimensional")
-    return arr
-
-
 def reachability_divisor(n: int, offsets: Iterable[int] | np.ndarray) -> int:
     """Greatest-common-divisor folding of the offsets, smallest first.
 
@@ -133,12 +127,16 @@ def reachability_divisor(n: int, offsets: Iterable[int] | np.ndarray) -> int:
 
     Requires a nonempty offset set with ``2 * min(offsets) <= n``.
     """
-    s_arr = _as_offset_array(offsets)
+    s_arr = OffsetSet(n, offsets).offsets
     if s_arr.size == 0:
         raise ValueError("offset set must be nonempty")
+    if 2 * s_arr[0] > n:
+        raise ValueError(f"need 2*min(offsets) <= n, got min={s_arr[0]} with n={n}")
+    return _divisor(n, s_arr)
+
+
+def _divisor(n: int, s_arr: np.ndarray) -> int:
     d = int(s_arr[0])
-    if 2 * d > n:
-        raise ValueError(f"need 2*min(offsets) <= n, got min={d} with n={n}")
     rest = s_arr[1:]
     pos = 0
     while pos < rest.size:
@@ -165,15 +163,16 @@ def alpha_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.n
     width (and the exact component loss), ``n' = n - m``, and every offset
     is shifted down by ``m``.
     """
-    s_arr = _as_offset_array(offsets)
+    s_arr = OffsetSet(n, offsets).offsets
     if s_arr.size == 0:
         raise ValueError("offset set must be nonempty")
-    s0 = int(s_arr[0])
-    if 2 * s0 <= n:
-        raise ValueError(f"need 2*min(offsets) > n, got min={s0} with n={n}")
-    if s_arr[-1] > n - 1:
-        raise ValueError("offsets must lie below the order")
-    m = 2 * s0 - n
+    if 2 * s_arr[0] <= n:
+        raise ValueError(f"need 2*min(offsets) > n, got min={s_arr[0]} with n={n}")
+    return _alpha_drop(n, s_arr)
+
+
+def _alpha_drop(n: int, s_arr: np.ndarray) -> tuple[int, np.ndarray, int]:
+    m = 2 * int(s_arr[0]) - n
     return n - m, s_arr - m, m
 
 
@@ -194,39 +193,31 @@ def beta_reduce(n: int, offsets: Iterable[int] | np.ndarray, d: int) -> tuple[in
     ``d`` does not divide ``n``.  The component count of the associated
     graph is unchanged.
     """
-    s_arr = _as_offset_array(offsets)
+    s_arr = OffsetSet(n, offsets).offsets
     expected = reachability_divisor(n, s_arr)
     if d != expected:
         raise ValueError(f"divisor {d} does not match the instance (expected {expected})")
     return _beta_fold(n, s_arr, d)
 
 
-def reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[ReductionTrace, int]:
+def reduce(offset_set: OffsetSet) -> tuple[ReductionTrace, int]:
     """Run reductions until no offsets remain; return the trace and count.
 
     The returned count is the number of connected components of the
     associated graph, equivalently the number of diagonal blocks in the
     Frobenius normal form of any symmetric Toeplitz matrix with these
-    nonzero offsets.
+    nonzero offsets.  The offsets were checked when ``offset_set`` was
+    built, and every move keeps them strictly increasing in ``[1, n-1]``.
     """
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-    s_arr = _as_offset_array(offsets)
-    if s_arr.size:
-        if s_arr[0] < 1 or s_arr[-1] > n - 1:
-            raise ValueError(f"offsets must lie in [1, {n - 1}]")
-        if np.any(np.diff(s_arr) <= 0):
-            raise ValueError("offsets must be strictly increasing")
-
     steps: list[ReductionStep] = []
-    n_i = n
+    n_i, s_arr = offset_set.n, offset_set.offsets
     while s_arr.size:
         s0 = int(s_arr[0])
         if 2 * s0 > n_i:
-            n_next, s_arr, m = alpha_reduce(n_i, s_arr)
+            n_next, s_arr, m = _alpha_drop(n_i, s_arr)
             steps.append(ReductionStep(ALPHA, n_i, n_next, s0, m))
         else:
-            d = reachability_divisor(n_i, s_arr)
+            d = _divisor(n_i, s_arr)
             n_next, s_arr = _beta_fold(n_i, s_arr, d)
             steps.append(ReductionStep(BETA, n_i, n_next, d, 0))
         n_i = n_next

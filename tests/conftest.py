@@ -41,3 +41,10 @@ def random_beta_instance(rng: np.random.Generator, n_lo: int = 2,
     k = min(int(rng.integers(0, 8)), extra.size)
     chosen = rng.choice(extra, size=k, replace=False) if k else np.empty(0, dtype=np.int64)
     return n, np.sort(np.append(chosen, s0)).astype(np.int64)
+
+
+def sweep_instances(count: int = 10000, seed: int = 20240601):
+    """The pinned instance sweep of acceptance criteria 3 and 5."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield random_instance(rng, n_lo=1, n_hi=512, k_max=16)

@@ -12,6 +12,7 @@ import pytest
 
 from toeplitz_fnf import (
     FirstRow,
+    OffsetSet,
     alpha_reduce,
     beta_reduce,
     compute_fnf,
@@ -23,7 +24,8 @@ from toeplitz_fnf import oracle
 from toeplitz_fnf.cli import run_bench, verify_row
 from toeplitz_fnf.reduction import ALPHA, BETA
 
-from conftest import random_alpha_instance, random_beta_instance, random_instance
+from conftest import (random_alpha_instance, random_beta_instance, random_instance,
+                      sweep_instances)
 
 GOLDEN_OFFSETS = [12, 18, 24, 29]
 GOLDEN_PARTITION = {
@@ -41,12 +43,6 @@ BIG_BLOCK_OFFSETS = [6, 9, 12, 14]
 def _line(num, name, ok):
     print(f"acceptance {num} ({name}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion {num} ({name}) failed"
-
-
-def _sweep_instances(count=10000, seed=20240601):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        yield random_instance(rng, n_lo=1, n_hi=512, k_max=16)
 
 
 def test_criterion_1_golden_decomposition():
@@ -83,7 +79,7 @@ def test_criterion_2_weighted_seven_vertex_row():
 def test_criterion_3_oracle_equivalence_sweep():
     start = time.perf_counter()
     partition_fail = reconstruction_fail = 0
-    for n, offsets in _sweep_instances():
+    for n, offsets in sweep_instances():
         row = row_from_offsets(n, offsets)
         res = compute_fnf(row)
         labels = oracle.toeplitz_component_labels(n, offsets)
@@ -179,8 +175,8 @@ def test_criterion_4_reduction_property_suites():
 
 def test_criterion_5_structural_invariants_across_sweep():
     bad = 0
-    for n, offsets in _sweep_instances():
-        trace, c = reduce(n, offsets)
+    for n, offsets in sweep_instances():
+        trace, c = reduce(OffsetSet(n, offsets))
         if c != sum(s.c for s in trace.steps) + trace.n_final:
             bad += 1
             continue

@@ -132,13 +132,6 @@ class TestComputeCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_block_order_flag(self, tmp_path, capsys):
-        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
-        run(["compute", "--order", "discovered", path])
-        doc = json.loads(capsys.readouterr().out)
-        assert [b["size"] for b in doc["blocks"]] == [16, 5, 5, 5]
-        assert doc["blocks"][0]["vertices"][:2] == [1, 2]
-
     def test_tolerance_cleans_noise(self, tmp_path, capsys):
         path = _write(tmp_path, "row.txt", "0 1e-12 0 1")
         run(["compute", "--tolerance", "1e-9", path])
@@ -159,7 +152,7 @@ class TestComputeCommand:
         assert json.loads(capsys.readouterr().out)["component_count"] == 1
 
     def test_unexpected_failure_is_internal_error(self, tmp_path, capsys, monkeypatch):
-        def broken(row, block_order="canonical"):
+        def broken(row):
             raise RuntimeError("synthetic fault")
 
         monkeypatch.setattr(cli, "compute_fnf", broken)
@@ -194,8 +187,8 @@ class TestVerifyCommand:
         import toeplitz_fnf.cli as cli_mod
         real = cli_mod.compute_fnf
 
-        def corrupted(row, block_order="canonical"):
-            res = real(row, block_order)
+        def corrupted(row):
+            res = real(row)
             rho = res.cis.rho.copy()
             rho[0], rho[1] = rho[1], rho[0]
             object.__setattr__(res.cis, "rho", rho)
@@ -210,7 +203,12 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "DENSE_CHECK_LIMIT", 16)
         report = verify_row(row_from_offsets(40, [13, 17]))
         assert report.passed
-        assert any(detail == "structural" for _, _, detail in report.checks)
+        assert report.checks[-1] == ("reconstruction_sampled", True,
+                                     "16 of 40 vertices in 1 of 1 blocks")
+        # no block above the limit: every entry is compared, so the check is exact
+        report = verify_row(row_from_offsets(40, [30]))
+        assert report.passed
+        assert report.checks[-1] == ("reconstruction_exact", True, "structural")
 
 
 class TestBenchCommand:
@@ -233,11 +231,6 @@ class TestBenchCommand:
 
     def test_sizes_must_ascend(self, capsys):
         assert run(["bench", "--sizes", "2000,1000"]) == EXIT_INPUT
-
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("FNF_SEED", "99")
-        run(["bench", "--sizes", "600", "--reps", "1", "--seed", "5"])
-        assert "seed 99" in capsys.readouterr().out
 
     def test_policies_generate_valid_offsets(self):
         rng = np.random.default_rng(3)

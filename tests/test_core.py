@@ -50,6 +50,9 @@ class TestOffsetSet:
             OffsetSet(5, [0, 2])
         with pytest.raises(ValueError):
             OffsetSet(5, [5])
+        # the message names the extremes, not every offset
+        with pytest.raises(ValueError, match=r"got 1\.\.1000000$"):
+            OffsetSet(10**6, np.arange(1, 10**6 + 1))
 
     def test_strictly_increasing(self):
         with pytest.raises(ValueError):
@@ -61,6 +64,14 @@ class TestOffsetSet:
         s = OffsetSet(10, [2, 5, 9])
         assert 5 in s
         assert 4 not in s
+
+    def test_owns_a_frozen_copy(self):
+        arr = np.array([2, 5, 9])
+        s = OffsetSet(10, arr)
+        arr[0] = 3  # the caller's array stays writable and apart from the set
+        assert s.offsets.tolist() == [2, 5, 9]
+        assert not s.offsets.flags.writeable
+        assert not offsets_from_row(FirstRow([0, 1, 0, 2])).offsets.flags.writeable
 
 
 class TestOffsetsFromRow:

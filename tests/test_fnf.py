@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toeplitz_fnf import FirstRow, compute_fnf, row_from_offsets
-from toeplitz_fnf.fnf import BLOCK_ORDERS, _lay_out
 from toeplitz_fnf import oracle
 
-from conftest import random_instance
+from conftest import random_instance, sweep_instances
 
 
 class TestExtractBlocks:
@@ -45,18 +45,17 @@ class TestExtractBlocks:
             for s in offsets:
                 entries[s] = weights[s] if weights[s] != 0 else 1.0
             row = FirstRow(entries)
-            for order in BLOCK_ORDERS:
-                for b in compute_fnf(row, order).blocks:
-                    anchor = b.vertices[0]
-                    for pos, v in enumerate(b.vertices):
-                        assert b.first_row[pos] == row.entries[v - anchor]
+            for b in compute_fnf(row).blocks:
+                anchor = b.vertices[0]
+                for pos, v in enumerate(b.vertices):
+                    assert b.first_row[pos] == row.entries[v - anchor]
 
 
 class TestPermutationFromCis:
     """The permutation lays the component vertex lists end to end."""
 
     def test_golden_31_canonical_order(self):
-        pi = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]), "canonical").permutation
+        pi = compute_fnf(row_from_offsets(31, [12, 18, 24, 29])).permutation
         assert pi[:16].tolist() == [1, 2, 6, 7, 8, 12, 13, 14, 18, 19, 20, 24, 25, 26, 30, 31]
         assert pi[16:21].tolist() == [3, 9, 15, 21, 27]
         assert pi[21:26].tolist() == [4, 10, 16, 22, 28]
@@ -64,40 +63,20 @@ class TestPermutationFromCis:
 
     def test_single_component_identity(self):
         row = row_from_offsets(5, [1])
-        for order in BLOCK_ORDERS:
-            assert compute_fnf(row, order).permutation.tolist() == [1, 2, 3, 4, 5]
+        assert compute_fnf(row).permutation.tolist() == [1, 2, 3, 4, 5]
 
     def test_all_isolated_identity(self):
         row = row_from_offsets(3, [])
-        for order in BLOCK_ORDERS:
-            assert compute_fnf(row, order).permutation.tolist() == [1, 2, 3]
+        assert compute_fnf(row).permutation.tolist() == [1, 2, 3]
 
     def test_is_always_a_bijection(self):
         rng = np.random.default_rng(62)
         for _ in range(200):
             n, offsets = random_instance(rng, n_hi=128)
-            row = row_from_offsets(n, offsets)
-            for order in BLOCK_ORDERS:
-                res = compute_fnf(row, order)
-                pi = res.permutation
-                assert sorted(pi.tolist()) == list(range(1, n + 1))
-                assert np.concatenate([b.vertices for b in res.blocks]).tolist() == pi.tolist()
-
-    def test_canonical_layout_moves_whole_blocks(self):
-        # groups in label order: [1], [2, 4], [3, 5, 6]
-        vertices = np.array([1, 2, 4, 3, 5, 6], dtype=np.int32)
-        bounds = np.array([0, 1, 3, 6])
-        pi, new_bounds = _lay_out(vertices, bounds, "canonical")
-        assert pi.tolist() == [3, 5, 6, 2, 4, 1]
-        assert new_bounds.tolist() == [0, 3, 5, 6]
-        pi, new_bounds = _lay_out(vertices, bounds, "discovered")
-        assert pi.tolist() == vertices.tolist()
-        assert new_bounds.tolist() == bounds.tolist()
-
-    def test_unknown_order_rejected(self):
-        for offsets in ([], [1]):
-            with pytest.raises(ValueError):
-                compute_fnf(row_from_offsets(3, offsets), "sideways")
+            res = compute_fnf(row_from_offsets(n, offsets))
+            pi = res.permutation
+            assert sorted(pi.tolist()) == list(range(1, n + 1))
+            assert np.concatenate([b.vertices for b in res.blocks]).tolist() == pi.tolist()
 
 
 class TestComputeFnf:
@@ -116,13 +95,6 @@ class TestComputeFnf:
         res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
         assert [b.size for b in res.blocks] == [16, 5, 5, 5]
         assert res.blocks[0].offsets.tolist() == [6, 9, 12, 14]
-
-    def test_discovered_vs_canonical_same_block_set(self):
-        row = row_from_offsets(31, [12, 18, 24, 29])
-        canon = compute_fnf(row, "canonical")
-        disc = compute_fnf(row, "discovered")
-        key = lambda b: (b.size, tuple(b.vertices.tolist()))
-        assert sorted(map(key, canon.blocks)) == sorted(map(key, disc.blocks))
 
     def test_reconstruction_exact(self):
         rng = np.random.default_rng(63)
@@ -218,3 +190,50 @@ class TestComputeFnf:
         assert res.component_count == 1
         assert np.shares_memory(res.blocks[0].first_row, row.entries)
         assert res.blocks[0].first_row.tolist() == row.entries.tolist()
+
+
+def _assert_canonical_labels(n, offsets):
+    """Block ``k`` is the oracle's ``k``-th component in canonical order and
+    holds label ``k + 1``; both lemmas of the ordering proof hold."""
+    res = compute_fnf(row_from_offsets(n, offsets))
+    parts = oracle.partition_from_labels(oracle.toeplitz_component_labels(n, offsets))
+    canonical = sorted((sorted(p) for p in parts), key=lambda p: (-len(p), p[0]))
+    blocks = res.blocks
+    assert [b.vertices.tolist() for b in blocks] == canonical
+    sizes = np.diff(res.block_bounds)
+    rho = res.cis.rho
+    assert rho[res.permutation - 1].tolist() == np.repeat(np.arange(1, sizes.size + 1),
+                                                          sizes).tolist()
+    # labels follow first occurrence
+    _, first = np.unique(rho, return_index=True)
+    assert np.all(np.diff(first) > 0)
+    # prefix domination: the j-th vertex of each component precedes the j-th
+    # vertex of the next one, so no prefix holds more of the later component
+    for a, b in zip(blocks, blocks[1:]):
+        assert a.size >= b.size and np.all(a.vertices[:b.size] < b.vertices)
+
+
+class TestCanonicalLabelOrder:
+    """The trace replay numbers components in canonical block order."""
+
+    def test_every_offset_set_up_to_order_14(self):
+        checked = 0
+        for n in range(1, 15):
+            for mask in range(2 ** (n - 1)):
+                _assert_canonical_labels(n, [s for s in range(1, n) if mask >> (s - 1) & 1])
+                checked += 1
+        assert checked == 2 ** 14 - 1
+
+    def test_acceptance_sweep(self):
+        for n, offsets in sweep_instances():
+            _assert_canonical_labels(n, offsets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 3000), quarter=st.sampled_from((0, 2, 3)),
+           picks=st.lists(st.integers(0, 2 ** 31), max_size=8))
+    def test_deep_and_many_component_rows(self, n, quarter, picks):
+        # offsets anywhere, in the upper half, or in the top quarter (long
+        # alternating traces, c close to n); no picks is the all-zero row
+        lo = 1 + quarter * (n - 1) // 4
+        offsets = sorted({lo + p % (n - lo) for p in picks}) if n > lo else []
+        _assert_canonical_labels(n, offsets)

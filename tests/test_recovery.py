@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toeplitz_fnf import ComponentIndexSequence, recover_cis, reduce
+from toeplitz_fnf import ComponentIndexSequence, OffsetSet, recover_cis, reduce
 from toeplitz_fnf import oracle
 from toeplitz_fnf.reduction import ALPHA, BETA, ReductionStep, ReductionTrace
 
@@ -21,7 +21,7 @@ def _labels_partition(cis):
 
 class TestRecoverCis:
     def test_golden_31_partition(self):
-        trace, _ = reduce(31, [12, 18, 24, 29])
+        trace, _ = reduce(OffsetSet(31, [12, 18, 24, 29]))
         cis = recover_cis(trace)
         assert _labels_partition(cis) == GOLDEN_PARTITION
 
@@ -31,7 +31,7 @@ class TestRecoverCis:
         assert cis.c == 5
 
     def test_even_offsets_two_classes(self):
-        trace, _ = reduce(7, [2, 4, 6])
+        trace, _ = reduce(OffsetSet(7, [2, 4, 6]))
         cis = recover_cis(trace)
         expected = oracle.partition_from_labels(
             oracle.toeplitz_component_labels(7, [2, 4, 6]))
@@ -42,7 +42,7 @@ class TestRecoverCis:
         rng = np.random.default_rng(51)
         for _ in range(400):
             n, offsets = random_instance(rng, n_hi=160)
-            trace, c = reduce(n, offsets)
+            trace, c = reduce(OffsetSet(n, offsets))
             cis = recover_cis(trace)
             assert cis.c == c
             labels = oracle.toeplitz_component_labels(n, offsets)
@@ -52,7 +52,7 @@ class TestRecoverCis:
         rng = np.random.default_rng(52)
         for _ in range(200):
             n, offsets = random_instance(rng, n_hi=128)
-            trace, c = reduce(n, offsets)
+            trace, c = reduce(OffsetSet(n, offsets))
             cis = recover_cis(trace)
             assert cis.rho.min() >= 1
             assert cis.rho.max() == c
@@ -63,7 +63,7 @@ class TestRecoverCis:
         checked = 0
         for _ in range(300):
             n, offsets = random_instance(rng, n_lo=4, n_hi=128)
-            trace, _ = reduce(n, offsets)
+            trace, _ = reduce(OffsetSet(n, offsets))
             if not trace.steps or trace.steps[0].kind != BETA:
                 continue
             step = trace.steps[0]
@@ -74,7 +74,7 @@ class TestRecoverCis:
         assert checked > 50
 
     def test_alpha_band_gets_fresh_singleton_labels(self):
-        trace, _ = reduce(7, [5, 6])
+        trace, _ = reduce(OffsetSet(7, [5, 6]))
         cis = recover_cis(trace)
         # band vertices 3, 4, 5 are isolated; each label occurs exactly once
         counts = np.bincount(cis.rho)

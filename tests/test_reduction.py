@@ -4,6 +4,7 @@ import pytest
 from toeplitz_fnf import (
     ALPHA,
     BETA,
+    OffsetSet,
     ReductionStep,
     ReductionTrace,
     alpha_reduce,
@@ -149,7 +150,7 @@ class TestBetaReduce:
 
 class TestReduce:
     def test_golden_31_trace(self):
-        trace, c = reduce(31, [12, 18, 24, 29])
+        trace, c = reduce(OffsetSet(31, [12, 18, 24, 29]))
         assert c == 4
         orders = [s.n_before for s in trace.steps] + [trace.n_final]
         assert orders == [31, 7, 4, 2, 1]
@@ -158,13 +159,13 @@ class TestReduce:
         assert [s.d for s in trace.steps] == [6, 5, 2, 1]
 
     def test_edgeless(self):
-        trace, c = reduce(7, [])
+        trace, c = reduce(OffsetSet(7, []))
         assert c == 7
         assert trace.steps == ()
         assert trace.n_final == 7
 
     def test_even_offsets_two_classes(self):
-        trace, c = reduce(7, [2, 4, 6])
+        trace, c = reduce(OffsetSet(7, [2, 4, 6]))
         assert c == 2
         assert c == len(oracle.components_oracle(oracle.build_graph(7, [2, 4, 6])))
 
@@ -172,7 +173,7 @@ class TestReduce:
         rng = np.random.default_rng(41)
         for _ in range(400):
             n, offsets = random_instance(rng, n_hi=128)
-            _, c = reduce(n, offsets)
+            _, c = reduce(OffsetSet(n, offsets))
             labels = oracle.toeplitz_component_labels(n, offsets)
             assert c == max(labels)
 
@@ -180,7 +181,7 @@ class TestReduce:
         rng = np.random.default_rng(42)
         for _ in range(400):
             n, offsets = random_instance(rng, n_hi=256)
-            trace, c = reduce(n, offsets)
+            trace, c = reduce(OffsetSet(n, offsets))
             assert c == trace.component_count
             kinds = [s.kind for s in trace.steps]
             for a, b in zip(kinds, kinds[1:]):
@@ -193,11 +194,11 @@ class TestReduce:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            reduce(0, [])
+            OffsetSet(0, [])
         with pytest.raises(ValueError):
-            reduce(5, [0, 2])
+            OffsetSet(5, [0, 2])
         with pytest.raises(ValueError):
-            reduce(5, [2, 2])
+            OffsetSet(5, [2, 2])
 
 
 class TestStepAndTraceInvariants:
@@ -231,5 +232,5 @@ class TestStepAndTraceInvariants:
                             ReductionStep(ALPHA, 9, 6, 6, 3)), 6)  # 9 != 7 breaks the chain
 
     def test_component_count_formula(self):
-        trace, _ = reduce(31, [12, 18, 24, 29])
+        trace, _ = reduce(OffsetSet(31, [12, 18, 24, 29]))
         assert trace.component_count == sum(s.c for s in trace.steps) + trace.n_final

@@ -29,6 +29,7 @@ __all__ = [
     "InputError",
     "parse_input",
     "load_row",
+    "render_json",
     "result_to_document",
     "document_to_json",
     "render_text",
@@ -58,12 +59,13 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # input parsing
 
-def parse_input(text: str) -> list[float]:
+def parse_input(text: str) -> np.ndarray:
     """Parse an input document into the raw first-row values.
 
     Two formats are auto-detected: a JSON object ``{"first_row": [...]}``
     with an optional ``"n"`` that must match the row length, or plain text
-    whose whitespace-separated decimals form the row.
+    whose whitespace-separated decimals form the row.  Text tokens are read
+    by the rules of ``float()``.
     """
     stripped = text.lstrip()
     if not stripped:
@@ -79,26 +81,24 @@ def parse_input(text: str) -> list[float]:
         if not isinstance(raw, list) or not raw:
             raise InputError('"first_row" must be a nonempty array of numbers')
         # bool is a subclass of int, so compare exact types
-        if not all(type(x) is float or type(x) is int for x in raw):
+        if not set(map(type, raw)) <= {float, int}:
             raise InputError('"first_row" must contain only numbers')
         try:
-            values = [float(x) for x in raw]
+            values = np.array(raw, dtype=np.float64)
         except OverflowError as exc:
             raise InputError(f'"first_row" entries must be finite: {exc}') from exc
         if "n" in doc:
             if type(doc["n"]) is not int:
                 raise InputError(f'declared order {doc["n"]!r} must be an integer')
-            if doc["n"] != len(values):
+            if doc["n"] != values.size:
                 raise InputError(
-                    f'declared order {doc["n"]} does not match row length {len(values)}')
+                    f'declared order {doc["n"]} does not match row length {values.size}')
     else:
         try:
-            values = [float(tok) for tok in text.split()]
+            values = np.array(text.split(), dtype=np.float64)
         except ValueError as exc:
             raise InputError(f"invalid numeric token: {exc}") from exc
-        if not values:
-            raise InputError("empty input")
-    if not all(math.isfinite(x) for x in values):
+    if not np.isfinite(values).all():
         raise InputError("first row entries must be finite")
     return values
 
@@ -119,7 +119,7 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
             raise InputError(f"cannot read {source}: {exc}") from exc
     if tolerance < 0:
         raise InputError("tolerance must be nonnegative")
-    values = np.array(parse_input(text), dtype=np.float64)
+    values = parse_input(text)
     if tolerance > 0:
         values[np.abs(values) <= tolerance] = 0.0
     return FirstRow(values)
@@ -128,55 +128,97 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
 # ---------------------------------------------------------------------------
 # output rendering
 
-def _number(x: float) -> int | float:
-    """Integral floats serialise as plain integers; others round-trip."""
-    f = float(x)
-    return int(f) if f.is_integer() else f
+def _python_numbers(entries: np.ndarray) -> np.ndarray:
+    """The row as an object array of Python numbers, integral values as ints.
+
+    Integral floats print as plain integers (``2.0`` as ``2``, ``-0.0`` as
+    ``0``, ``1e300`` in full); every other value keeps its float repr.
+    """
+    whole = np.trunc(entries) == entries
+    small = whole & (np.abs(entries) < 2.0**63)
+    nums = np.where(small, entries, 0.0).astype(np.int64).astype(object)
+    fractional = ~whole
+    nums[fractional] = entries[fractional].astype(object)
+    for i in np.flatnonzero(whole & ~small).tolist():
+        nums[i] = int(entries[i])
+    return nums
+
+
+def _slices(text: str, bounds: np.ndarray, sep: str):
+    """Yield the joined ``[e0<sep>e1...]`` text cut into one slice per block.
+
+    No formatted number holds a comma, so the ``i``-th comma ends entry
+    ``i``.  Only the cuts at the block bounds are kept, and the memoryview
+    makes each a Python int only when it is read.
+    """
+    start = 1
+    if bounds.size > 2:
+        commas = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(",")
+        cuts = memoryview(np.flatnonzero(commas)[bounds[1:-1] - 1])
+        del commas  # not held while the generator waits between blocks
+        for cut in cuts:
+            yield text[start:cut]
+            start = cut + len(sep)
+    yield text[start:-1]
+
+
+def _pieces(result: FnfResult, sep: str):
+    """Joined label and permutation texts, and per block its size, vertices and first row.
+
+    The labels, the permutation and the block rows laid end to end are each
+    formatted once by ``json.dumps``; a block's vertices and first row are
+    slices of the permutation and block-row texts.
+    """
+    perm = result.permutation
+    bounds = result.block_bounds
+    sizes = np.diff(bounds)
+    rows = _python_numbers(result.row.entries)[perm - np.repeat(perm[bounds[:-1]], sizes)]
+
+    def join(values) -> str:
+        return json.dumps(values.tolist(), separators=(sep, ":"))
+
+    perm_text = join(perm)
+    blocks = zip(sizes.tolist(), _slices(perm_text, bounds, sep),
+                 _slices(join(rows), bounds, sep))
+    return join(result.cis.rho), perm_text, blocks
+
+
+def render_json(result: FnfResult, include_trace: bool = False) -> str:
+    """The JSON document ``fnf compute`` prints, newline included."""
+    cis, perm, blocks = _pieces(result, ", ")
+    parts = [f'{{"n": {result.n}, "component_count": {result.component_count}, '
+             f'"cis": {cis}, "blocks": [',
+             ", ".join([f'{{"size": {size}, "first_row": [{row}], "vertices": [{verts}]}}'
+                        for size, verts, row in blocks]),
+             f'], "permutation": {perm}']
+    if include_trace:
+        steps = [{"kind": s.kind, "n_before": s.n_before, "n_after": s.n_after,
+                  "d": s.d, "c": s.c} for s in result.trace.steps]
+        parts.append(f', "trace": {json.dumps(steps, separators=(", ", ": "))}')
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def result_to_document(result: FnfResult, include_trace: bool = False) -> dict:
-    doc = {
-        "n": result.n,
-        "component_count": result.component_count,
-        "cis": result.cis.rho.tolist(),
-        "blocks": [
-            {
-                "size": b.size,
-                "first_row": [_number(x) for x in b.first_row],
-                "vertices": b.vertices.tolist(),
-            }
-            for b in result.blocks
-        ],
-        "permutation": result.permutation.tolist(),
-    }
-    if include_trace:
-        doc["trace"] = [
-            {"kind": s.kind, "n_before": s.n_before, "n_after": s.n_after,
-             "d": s.d, "c": s.c}
-            for s in result.trace.steps
-        ]
-    return doc
+    return json.loads(render_json(result, include_trace))
 
 
 def document_to_json(doc: dict) -> str:
     return json.dumps(doc, separators=(", ", ": ")) + "\n"
 
 
-def _fmt_values(values) -> str:
-    return ",".join(str(_number(x)) for x in values)
-
-
 def render_text(result: FnfResult, include_trace: bool = False) -> str:
+    cis, perm, blocks = _pieces(result, ",")
     lines = [f"n {result.n}", f"components {result.component_count}"]
-    for k, b in enumerate(result.blocks, start=1):
-        lines.append(f"block {k} size={b.size} vertices={_fmt_values(b.vertices)} "
-                     f"first_row={_fmt_values(b.first_row)}")
-    lines.append(f"permutation {_fmt_values(result.permutation)}")
-    lines.append(f"cis {_fmt_values(result.cis.rho)}")
+    lines += [f"block {k} size={size} vertices={verts} first_row={row}"
+              for k, (size, verts, row) in enumerate(blocks, start=1)]
+    lines.append(f"permutation {perm[1:-1]}")
+    lines.append(f"cis {cis[1:-1]}")
     if include_trace:
         for s in result.trace.steps:
             lines.append(f"trace {s.kind} n={s.n_before}->{s.n_after} d={s.d} c={s.c}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +408,8 @@ def run_bench(sizes: list[int], policy: str = "uniform", seed: int = 0,
 def _cmd_compute(args: argparse.Namespace) -> int:
     row = load_row(args.input, tolerance=args.tolerance)
     result = compute_fnf(row)
-    if args.format == "json":
-        sys.stdout.write(document_to_json(result_to_document(result, args.trace)))
-    else:
-        sys.stdout.write(render_text(result, args.trace))
+    render = render_json if args.format == "json" else render_text
+    sys.stdout.write(render(result, args.trace))
     return EXIT_OK
 
 

@@ -78,8 +78,12 @@ class OffsetSet:
     __slots__ = ("n", "offsets")
 
     def __init__(self, n: int, offsets: Iterable[int] | np.ndarray) -> None:
-        self._adopt(n, np.array(offsets if isinstance(offsets, np.ndarray) else list(offsets),
-                                dtype=np.int64))
+        raw = offsets if isinstance(offsets, np.ndarray) else list(offsets)
+        arr = np.array(raw, dtype=np.int64)
+        # the int64 cast truncates, so compare with what was passed in
+        if np.any(arr != raw):
+            raise ValueError("offsets must be integers")
+        self._adopt(n, arr)
 
     def _adopt(self, n: int, arr: np.ndarray) -> None:
         """Check the contract on an int64 array no caller holds, then freeze it."""

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from toeplitz_fnf.cli import (
     run_bench,
     verify_row,
 )
-from toeplitz_fnf.fnf import compute_fnf
+from toeplitz_fnf.fnf import FnfResult, compute_fnf
 
 
 def _write(tmp_path, name, text):
@@ -34,18 +37,26 @@ GOLDEN_31_TEXT = " ".join(
 
 class TestParseInput:
     def test_plain_text(self):
-        assert parse_input("0 1.5\n-2  3e1") == [0.0, 1.5, -2.0, 30.0]
+        assert parse_input("0 1.5\n-2  3e1").tolist() == [0.0, 1.5, -2.0, 30.0]
 
     def test_json_document(self):
-        assert parse_input('{"first_row": [0, 1, 0.5]}') == [0.0, 1.0, 0.5]
+        assert parse_input('{"first_row": [0, 1, 0.5]}').tolist() == [0.0, 1.0, 0.5]
 
     def test_json_order_must_match(self):
-        assert parse_input('{"first_row": [0, 1], "n": 2}') == [0.0, 1.0]
+        assert parse_input('{"first_row": [0, 1], "n": 2}').tolist() == [0.0, 1.0]
         with pytest.raises(InputError):
             parse_input('{"first_row": [0, 1], "n": 3}')
 
     def test_autodetect_by_first_byte(self):
-        assert parse_input("  \n{\"first_row\": [4]}") == [4.0]
+        assert parse_input("  \n{\"first_row\": [4]}").tolist() == [4.0]
+
+    def test_text_tokens_follow_float(self):
+        assert parse_input("1_000 +2.5").tolist() == [1000.0, 2.5]
+        for token in ("0x10", "1.5d"):
+            with pytest.raises(ValueError):
+                float(token)
+            with pytest.raises(InputError, match="invalid numeric token"):
+                parse_input(f"0 {token}")
 
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
@@ -60,6 +71,8 @@ class TestParseInput:
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             parse_input("0 inf")
+        with pytest.raises(InputError, match="finite"):
+            parse_input("0 nan 1")
         with pytest.raises(InputError):
             parse_input('{"first_row": [0, 1e999]}')
 
@@ -92,6 +105,136 @@ class TestDocuments:
         res = compute_fnf(FirstRow([0.0, 2.5]))
         doc = result_to_document(res)
         assert doc["blocks"][0]["first_row"] == [0, 2.5]
+
+
+# Test-only reference: the per-entry writers that the bulk writers replaced,
+# kept here to pin the output bytes.
+
+def _reference_number(x):
+    f = float(x)
+    return int(f) if f.is_integer() else f
+
+
+def _reference_values(values):
+    return ",".join(str(_reference_number(x)) for x in values)
+
+
+def _reference_json(result, include_trace):
+    doc = {
+        "n": result.n,
+        "component_count": result.component_count,
+        "cis": result.cis.rho.tolist(),
+        "blocks": [
+            {
+                "size": b.size,
+                "first_row": [_reference_number(x) for x in b.first_row],
+                "vertices": b.vertices.tolist(),
+            }
+            for b in result.blocks
+        ],
+        "permutation": result.permutation.tolist(),
+    }
+    if include_trace:
+        doc["trace"] = [
+            {"kind": s.kind, "n_before": s.n_before, "n_after": s.n_after,
+             "d": s.d, "c": s.c}
+            for s in result.trace.steps
+        ]
+    return json.dumps(doc, separators=(", ", ": ")) + "\n"
+
+
+def _reference_text(result, include_trace):
+    lines = [f"n {result.n}", f"components {result.component_count}"]
+    for k, b in enumerate(result.blocks, start=1):
+        lines.append(f"block {k} size={b.size} vertices={_reference_values(b.vertices)} "
+                     f"first_row={_reference_values(b.first_row)}")
+    lines.append(f"permutation {_reference_values(result.permutation)}")
+    lines.append(f"cis {_reference_values(result.cis.rho)}")
+    if include_trace:
+        for s in result.trace.steps:
+            lines.append(f"trace {s.kind} n={s.n_before}->{s.n_after} d={s.d} c={s.c}")
+    return "\n".join(lines) + "\n"
+
+
+def _clustered_row(n, seed):
+    rng = np.random.default_rng(seed)
+    offsets = generate_offsets(n, 12, "clustered", rng)
+    entries = np.zeros(n)
+    entries[0] = 2.0
+    entries[offsets] = rng.integers(1, 1000, size=offsets.size) / 8
+    return entries.tolist()
+
+
+def _golden_31():
+    return [float(tok) for tok in GOLDEN_31_TEXT.split()]
+
+
+# -0.0 prints as 0; integral values print in full, at and beyond 2**63 too
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -0.0, 2.0**53, 0.0, 2.0**53 + 2, 0.0, 1e300, 0.0,
+                  -1e22, 0.0, 2.0**63, 0.0, -(2.0**63)]
+
+WRITER_ROWS = {
+    "golden-31": _golden_31(),
+    "weighted-7": [0.0, 0.0, 3.0, 0.0, 8.0, 0.0, 9.0],
+    "order-1": [42.0],
+    "all-zero-31": [0.0] * 31,
+    "two-fractional": [0.75, 0.0, 0.5, 0.0, 0.0, 0.0, 1.25, 0.0, 0.0, 0.0, -3.125, 0.0, 0.0],
+    "special-values": SPECIAL_VALUES,
+    "clustered-3001": _clustered_row(3001, 11),
+}
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("name", sorted(WRITER_ROWS))
+    def test_matches_per_entry_reference(self, name, tmp_path, capsys):
+        values = WRITER_ROWS[name]
+        result = compute_fnf(FirstRow(values))
+        inputs = (_write(tmp_path, "row.txt", " ".join(map(repr, values))),
+                  _write(tmp_path, "row.json", json.dumps({"first_row": values})))
+        for path in inputs:
+            for fmt, reference in (("json", _reference_json), ("text", _reference_text)):
+                for trace in (False, True):
+                    argv = ["compute", "--format", fmt] + ["--trace"] * trace + [path]
+                    assert run(argv) == EXIT_OK
+                    got, want = capsys.readouterr().out, reference(result, trace)
+                    if got != want:
+                        # a short excerpt: a full diff of long lines takes minutes
+                        i = len(os.path.commonprefix([got, want]))
+                        pytest.fail(f"{argv}: first difference at character {i}: "
+                                    f"{got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}")
+
+    def test_rows_cut_into_several_blocks(self):
+        assert compute_fnf(FirstRow(WRITER_ROWS["special-values"])).component_count == 2
+        assert compute_fnf(FirstRow(WRITER_ROWS["clustered-3001"])).component_count > 1000
+
+    def test_compute_reads_no_block_objects(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("result.blocks read")
+
+        monkeypatch.setattr(FnfResult, "blocks", property(refuse))
+        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
+        for fmt in ("json", "text"):
+            assert run(["compute", "--trace", "--format", fmt, path]) == EXIT_OK
+
+
+class TestOptimisedInterpreter:
+    """``python -O`` strips asserts; no check may depend on one."""
+
+    @staticmethod
+    def _compute(tmp_path, text, *flags):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        path = _write(tmp_path, "row.txt", text)
+        return subprocess.run([sys.executable, *flags, "-m", "toeplitz_fnf", "compute", path],
+                              capture_output=True, env=env)
+
+    def test_same_output_under_dash_o(self, tmp_path):
+        plain = self._compute(tmp_path, GOLDEN_31_TEXT)
+        optimised = self._compute(tmp_path, GOLDEN_31_TEXT, "-O")
+        assert plain.returncode == optimised.returncode == EXIT_OK
+        assert optimised.stdout == plain.stdout
+
+    def test_non_finite_is_input_error_under_dash_o(self, tmp_path):
+        assert self._compute(tmp_path, "0 inf", "-O").returncode == EXIT_INPUT
 
 
 class TestComputeCommand:

@@ -54,6 +54,15 @@ class TestOffsetSet:
         with pytest.raises(ValueError, match=r"got 1\.\.1000000$"):
             OffsetSet(10**6, np.arange(1, 10**6 + 1))
 
+    def test_rejects_fractional(self):
+        for offsets in ([1.5, 2.9], [1, 2.5], np.array([2.0, 3.25])):
+            with pytest.raises(ValueError, match="integers"):
+                OffsetSet(5, offsets)
+        with pytest.raises(ValueError, match="integers"):
+            row_from_offsets(5, [1.7])
+        # integral floats are whole offsets
+        assert OffsetSet(5, np.array([1.0, 3.0])).offsets.tolist() == [1, 3]
+
     def test_strictly_increasing(self):
         with pytest.raises(ValueError):
             OffsetSet(9, [3, 3])

@@ -117,8 +117,8 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read {source}: {exc}") from exc
-    if tolerance < 0:
-        raise InputError("tolerance must be nonnegative")
+    if not tolerance >= 0:  # also rejects NaN
+        raise InputError(f"tolerance must be nonnegative, got {tolerance}")
     values = parse_input(text)
     if tolerance > 0:
         values[np.abs(values) <= tolerance] = 0.0
@@ -378,6 +378,8 @@ def run_bench(sizes: list[int], policy: str = "uniform", seed: int = 0,
         raise InputError("at least one size required")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InputError("sizes must be strictly ascending")
+    if sizes[0] < 1:
+        raise InputError(f"sizes must be at least 1, got {sizes[0]}")
     if reps < 1:
         raise InputError("reps must be at least 1")
     rng = np.random.default_rng(seed)
@@ -430,9 +432,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if not tok:
             continue
         try:
-            sizes.append(int(float(tok)))
+            size = float(tok)
         except ValueError as exc:
             raise InputError(f"invalid size {tok!r}") from exc
+        # is_integer() is False for inf and NaN, so int() cannot overflow
+        if not (size.is_integer() and size >= 1):
+            raise InputError(f"size {tok!r} must be a whole number of at least 1")
+        sizes.append(int(size))
     report = run_bench(sizes, policy=args.policy, seed=args.seed, reps=args.reps)
     sys.stdout.write(report.render())
     return EXIT_OK

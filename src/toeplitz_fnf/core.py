@@ -83,10 +83,6 @@ class OffsetSet:
         # the int64 cast truncates, so compare with what was passed in
         if np.any(arr != raw):
             raise ValueError("offsets must be integers")
-        self._adopt(n, arr)
-
-    def _adopt(self, n: int, arr: np.ndarray) -> None:
-        """Check the contract on an int64 array no caller holds, then freeze it."""
         if n < 1:
             raise ValueError(f"order must be at least 1, got {n}")
         if arr.ndim != 1:
@@ -126,21 +122,22 @@ def offsets_from_row(row: FirstRow) -> OffsetSet:
     """
     offsets = np.flatnonzero(row.entries[1:] != 0.0).astype(np.int64, copy=False)
     offsets += 1
+    # indices into entries[1:] come out strictly increasing in [0, n-2], so
+    # the shifted array meets the OffsetSet contract without a check
+    offsets.setflags(write=False)
     offset_set = OffsetSet.__new__(OffsetSet)
-    offset_set._adopt(row.n, offsets)
+    offset_set.n = row.n
+    offset_set.offsets = offsets
     return offset_set
 
 
-def row_from_offsets(n: int, offsets: Iterable[int], value: float = 1.0,
-                     diagonal: float = 0.0) -> FirstRow:
-    """Build the boolean-style first row with ``value`` at each offset.
+def row_from_offsets(n: int, offsets: Iterable[int]) -> FirstRow:
+    """Build the first row with ``1`` at each offset and ``0`` elsewhere.
 
     ``offsets`` must meet the :class:`OffsetSet` contract.
     """
-    idx = OffsetSet(n, offsets).offsets
     entries = np.zeros(n, dtype=np.float64)
-    entries[0] = diagonal
-    entries[idx] = value
+    entries[OffsetSet(n, offsets).offsets] = 1.0
     return FirstRow(entries)
 
 

@@ -10,7 +10,7 @@ throughout the test suite and by the ``verify`` command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -84,15 +84,11 @@ class ExplicitGraph:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    weights: dict[tuple[int, int], float] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         for u, v in self.edges:
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"edge ({u}, {v}) invalid for {self.n} vertices")
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n + 1)]
@@ -115,20 +111,16 @@ class QuotientGraph:
                 raise ValueError(f"class pair ({u}, {v}) invalid for modulus {self.d}")
 
 
-def build_graph(n: int, offsets: Iterable[int],
-                weights: dict[int, float] | None = None) -> ExplicitGraph:
+def build_graph(n: int, offsets: Iterable[int]) -> ExplicitGraph:
     """Materialise the graph joining ``u`` and ``v`` iff ``|u - v|`` is an offset."""
     edge_list: list[tuple[int, int]] = []
-    weight_map: dict[tuple[int, int], float] | None = {} if weights is not None else None
     for s in offsets:
         s = int(s)
         if not (1 <= s <= n - 1):
             raise ValueError(f"offset {s} out of range for {n} vertices")
         for v in range(1, n - s + 1):
             edge_list.append((v, v + s))
-            if weight_map is not None:
-                weight_map[(v, v + s)] = weights[s]
-    return ExplicitGraph(n=n, edges=frozenset(edge_list), weights=weight_map)
+    return ExplicitGraph(n=n, edges=frozenset(edge_list))
 
 
 def _union_all(g: ExplicitGraph) -> DisjointSet:

@@ -54,14 +54,12 @@ class ComponentIndexSequence:
 
     ``rho[k]`` is the component index of vertex ``k + 1``; two vertices get
     equal labels exactly when they lie in the same component.  Every label
-    in ``[1, c]`` occurs at least once.  ``validate=False`` skips the
-    full-vector checks; only the trace replay, whose output satisfies them
-    by construction, uses it.
+    in ``[1, c]`` occurs at least once.
     """
 
     __slots__ = ("n", "c", "rho")
 
-    def __init__(self, n: int, c: int, rho: np.ndarray, *, validate: bool = True) -> None:
+    def __init__(self, n: int, c: int, rho: np.ndarray) -> None:
         rho = np.asarray(rho)
         if n < 1:
             raise ValueError(f"order must be at least 1, got {n}")
@@ -69,13 +67,12 @@ class ComponentIndexSequence:
             raise ValueError("labelling must be a vector of length n")
         if not (1 <= c <= n):
             raise ValueError(f"component count {c} out of range for order {n}")
-        if validate:
-            try:
-                counts = np.bincount(rho, minlength=c + 1)
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"labels must lie in [1, {c}]") from exc
-            if counts.size > c + 1 or counts[0] != 0 or np.any(counts[1:] == 0):
-                raise ValueError(f"labels must cover [1, {c}] exactly")
+        try:
+            counts = np.bincount(rho, minlength=c + 1)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"labels must lie in [1, {c}]") from exc
+        if counts.size > c + 1 or counts[0] != 0 or np.any(counts[1:] == 0):
+            raise ValueError(f"labels must cover [1, {c}] exactly")
         rho.setflags(write=False)
         self.n = n
         self.c = c
@@ -123,4 +120,9 @@ def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
             _extend_periodic(out, step.n_after, step.d)
         rho = out
 
-    return ComponentIndexSequence(n=n, c=trace.component_count, rho=rho, validate=False)
+    # the replay labels every vertex and uses each label in [1, c], so the
+    # constructor's full-vector checks are skipped
+    rho.setflags(write=False)
+    cis = ComponentIndexSequence.__new__(ComponentIndexSequence)
+    cis.n, cis.c, cis.rho = n, trace.component_count, rho
+    return cis

@@ -49,42 +49,39 @@ BETA = "beta"
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One reduction move.
+    """One reduction move, recorded as its decision.
 
     ``d`` is the smallest offset for an alpha step and the fold divisor for
-    a beta step.  ``c`` is the number of components removed (positive for
-    alpha, always zero for beta).
+    a beta step.  The order after the step and the number of components it
+    removes follow from ``(kind, n_before, d)``.
     """
 
     kind: str
     n_before: int
-    n_after: int
     d: int
-    c: int
 
     def __post_init__(self) -> None:
-        if self.kind == ALPHA:
-            if self.c < 1:
-                raise ValueError(f"alpha step must drop at least one component, got c={self.c}")
-            if self.c != 2 * self.d - self.n_before:
-                raise ValueError("alpha step: c must equal 2*d - n_before")
-            if self.n_after != self.n_before - self.c:
-                raise ValueError("alpha step: n_after must equal n_before - c")
-            if self.n_after != 2 * (self.n_before - self.d):
-                raise ValueError("alpha step: n_after must equal 2*(n_before - d)")
-        elif self.kind == BETA:
-            if self.c != 0:
-                raise ValueError(f"beta step preserves components, got c={self.c}")
-            if self.d < 1:
-                raise ValueError(f"beta step needs a positive divisor, got d={self.d}")
-            if self.n_after != self.d + self.n_before % self.d:
-                raise ValueError("beta step: n_after must equal d + (n_before mod d)")
-            if self.n_after >= self.n_before:
-                raise ValueError("beta step must shrink the order")
-            if 3 * self.n_after >= 2 * self.n_before:
-                raise ValueError("beta step must shrink below 2/3 of the order")
-        else:
+        if self.kind not in (ALPHA, BETA):
             raise ValueError(f"unknown step kind {self.kind!r}")
+        if not 1 <= self.d < self.n_before:
+            raise ValueError(f"step needs 1 <= d < n_before, got d={self.d} "
+                             f"with n_before={self.n_before}")
+        if self.kind == ALPHA and 2 * self.d <= self.n_before:
+            raise ValueError("alpha step must drop at least one vertex: need 2*d > n_before")
+        if self.kind == BETA and 3 * self.n_after >= 2 * self.n_before:
+            raise ValueError("beta step must shrink below 2/3 of the order")
+
+    @property
+    def n_after(self) -> int:
+        """``2*(n_before - d)`` for alpha, ``d + (n_before mod d)`` for beta."""
+        if self.kind == ALPHA:
+            return 2 * (self.n_before - self.d)
+        return self.d + self.n_before % self.d
+
+    @property
+    def c(self) -> int:
+        """Components removed: the band width ``2*d - n_before`` for alpha, 0 for beta."""
+        return 2 * self.d - self.n_before if self.kind == ALPHA else 0
 
 
 @dataclass(frozen=True)
@@ -127,31 +124,31 @@ def reachability_divisor(n: int, offsets: Iterable[int] | np.ndarray) -> int:
 
     Requires a nonempty offset set with ``2 * min(offsets) <= n``.
     """
+    return _divisor(n, _beta_input(n, offsets))
+
+
+def _beta_input(n: int, offsets: Iterable[int] | np.ndarray) -> np.ndarray:
     s_arr = OffsetSet(n, offsets).offsets
     if s_arr.size == 0:
         raise ValueError("offset set must be nonempty")
     if 2 * s_arr[0] > n:
         raise ValueError(f"need 2*min(offsets) <= n, got min={s_arr[0]} with n={n}")
-    return _divisor(n, s_arr)
+    return s_arr
 
 
 def _divisor(n: int, s_arr: np.ndarray) -> int:
     d = int(s_arr[0])
-    rest = s_arr[1:]
-    pos = 0
-    while pos < rest.size:
+    pos = 1
+    while d > 1:
         # Offsets usable under the current divisor; multiples of d leave it
-        # unchanged, so skip the whole run of them in one step.
-        hi = int(np.searchsorted(rest, n - d, side="right"))
-        if hi <= pos:
-            break
-        window = rest[pos:hi]
-        nonmultiple = np.flatnonzero(window % d)
+        # unchanged, so jump to the first non-multiple.  A smaller d only
+        # widens the usable range, so the scan never looks back.
+        usable = s_arr[pos:int(np.searchsorted(s_arr, n - d, side="right"))]
+        nonmultiple = np.flatnonzero(usable % d)
         if nonmultiple.size == 0:
-            pos = hi
-            continue
+            break
         k = int(nonmultiple[0])
-        d = gcd(d, int(window[k]))
+        d = gcd(d, int(usable[k]))
         pos += k + 1
     return d
 
@@ -168,36 +165,29 @@ def alpha_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.n
         raise ValueError("offset set must be nonempty")
     if 2 * s_arr[0] <= n:
         raise ValueError(f"need 2*min(offsets) > n, got min={s_arr[0]} with n={n}")
-    return _alpha_drop(n, s_arr)
+    step = ReductionStep(ALPHA, n, int(s_arr[0]))
+    return step.n_after, s_arr - step.c, step.c
 
 
-def _alpha_drop(n: int, s_arr: np.ndarray) -> tuple[int, np.ndarray, int]:
-    m = 2 * int(s_arr[0]) - n
-    return n - m, s_arr - m, m
+def _beta_fold(step: ReductionStep, s_arr: np.ndarray) -> np.ndarray:
+    """Offsets above ``n - d`` moved down by ``n - n_after``, plus ``d`` unless ``d | n``."""
+    n, d, n_after = step.n_before, step.d, step.n_after
+    survivors = s_arr[int(np.searchsorted(s_arr, n - d, side="right")):] - (n - n_after)
+    return survivors if n_after == d else np.unique(np.append(survivors, d))
 
 
-def _beta_fold(n: int, s_arr: np.ndarray, d: int) -> tuple[int, np.ndarray]:
-    q, r = divmod(n, d)
-    survivors = s_arr[s_arr > n - d] - (q - 1) * d
-    if r > 0:
-        return d + r, np.unique(np.append(survivors, d))
-    return d, survivors
-
-
-def beta_reduce(n: int, offsets: Iterable[int] | np.ndarray, d: int) -> tuple[int, np.ndarray]:
+def beta_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.ndarray, int]:
     """Fold a ``d``-step-connected instance down to order ``d + (n mod d)``.
 
-    ``d`` must be the value of :func:`reachability_divisor` for the input.
-    Offsets at or below ``n - d`` are discarded; the survivors are shifted
-    down by ``(n // d - 1) * d``, and ``d`` itself joins the set whenever
-    ``d`` does not divide ``n``.  The component count of the associated
-    graph is unchanged.
+    ``d`` is the value of :func:`reachability_divisor` for the input.
+    Returns ``(n', offsets', d)``: offsets at or below ``n - d`` are
+    discarded, the survivors are shifted down by ``(n // d - 1) * d``, and
+    ``d`` itself joins the set whenever ``d`` does not divide ``n``.  The
+    component count of the associated graph is unchanged.
     """
-    s_arr = OffsetSet(n, offsets).offsets
-    expected = reachability_divisor(n, s_arr)
-    if d != expected:
-        raise ValueError(f"divisor {d} does not match the instance (expected {expected})")
-    return _beta_fold(n, s_arr, d)
+    s_arr = _beta_input(n, offsets)
+    step = ReductionStep(BETA, n, _divisor(n, s_arr))
+    return step.n_after, _beta_fold(step, s_arr), step.d
 
 
 def reduce(offset_set: OffsetSet) -> tuple[ReductionTrace, int]:
@@ -214,13 +204,13 @@ def reduce(offset_set: OffsetSet) -> tuple[ReductionTrace, int]:
     while s_arr.size:
         s0 = int(s_arr[0])
         if 2 * s0 > n_i:
-            n_next, s_arr, m = _alpha_drop(n_i, s_arr)
-            steps.append(ReductionStep(ALPHA, n_i, n_next, s0, m))
+            step = ReductionStep(ALPHA, n_i, s0)
+            s_arr = s_arr - step.c
         else:
-            d = _divisor(n_i, s_arr)
-            n_next, s_arr = _beta_fold(n_i, s_arr, d)
-            steps.append(ReductionStep(BETA, n_i, n_next, d, 0))
-        n_i = n_next
+            step = ReductionStep(BETA, n_i, _divisor(n_i, s_arr))
+            s_arr = _beta_fold(step, s_arr)
+        steps.append(step)
+        n_i = step.n_after
 
     trace = ReductionTrace(tuple(steps), n_i)
     return trace, trace.component_count

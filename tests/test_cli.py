@@ -284,6 +284,12 @@ class TestComputeCommand:
         assert cleaned["component_count"] == 3  # only the offset-3 edge survives
         assert raw["component_count"] == 1
 
+    def test_tolerance_must_be_nonnegative(self, tmp_path, capsys):
+        path = _write(tmp_path, "row.txt", "0 1e-12 0 1")
+        for eps in ("-1", "nan", "-inf"):
+            assert run(["compute", f"--tolerance={eps}", path]) == EXIT_INPUT
+            assert "tolerance" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, capsys):
         assert run(["compute", "/nonexistent/row.txt"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
@@ -374,6 +380,15 @@ class TestBenchCommand:
 
     def test_sizes_must_ascend(self, capsys):
         assert run(["bench", "--sizes", "2000,1000"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("sizes", ["inf", "1e400", "nan", "0", "-5", "1.7,2.9"])
+    def test_sizes_must_be_whole_and_positive(self, sizes, capsys):
+        assert run(["bench", "--sizes", sizes, "--reps", "1"]) == EXIT_INPUT
+        assert "size" in capsys.readouterr().err
+
+    def test_run_bench_rejects_sizes_below_one(self):
+        with pytest.raises(InputError):
+            run_bench([0, 400], reps=1)
 
     def test_policies_generate_valid_offsets(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toeplitz_fnf import (
     ALPHA,
@@ -53,6 +54,16 @@ class TestReachabilityDivisor:
             for a, b in zip(chain, chain[1:]):
                 assert b <= a
                 assert a % b == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 3000), first=st.integers(0, 2 ** 31),
+           picks=st.lists(st.integers(0, 2 ** 31), max_size=63))
+    def test_matches_plain_scan_on_long_offset_sets(self, n, first, picks):
+        # up to 64 offsets spread over [min, n-1]: long scans where d reaches
+        # 1 with offsets left, and scans cut off at n - d
+        s0 = 1 + first % (n // 2)
+        offsets = sorted({s0, *(s0 + p % (n - s0) for p in picks)})
+        assert reachability_divisor(n, offsets) == oracle.divisor_chain(n, offsets)[-1]
 
     def test_result_is_reachable_step(self):
         rng = np.random.default_rng(13)
@@ -119,29 +130,26 @@ class TestAlphaReduce:
 
 class TestBetaReduce:
     def test_golden_fold(self):
-        n2, s2 = beta_reduce(31, [12, 18, 24, 29], 6)
-        assert (n2, list(s2)) == (7, [5, 6])
+        n2, s2, d = beta_reduce(31, [12, 18, 24, 29])
+        assert (n2, list(s2), d) == (7, [5, 6], 6)
 
     def test_exact_division_fold(self):
-        n2, s2 = beta_reduce(4, [2, 3], 2)
-        assert (n2, list(s2)) == (2, [1])
+        n2, s2, d = beta_reduce(4, [2, 3])
+        assert (n2, list(s2), d) == (2, [1], 2)
         assert len(oracle.components_oracle(oracle.build_graph(4, [2, 3]))) == 1
         assert len(oracle.components_oracle(oracle.build_graph(2, [1]))) == 1
 
     def test_fold_to_single_vertex(self):
-        n2, s2 = beta_reduce(2, [1], 1)
-        assert (n2, list(s2)) == (1, [])
-
-    def test_divisor_contract_enforced(self):
-        with pytest.raises(ValueError):
-            beta_reduce(31, [12, 18, 24, 29], 3)
+        n2, s2, d = beta_reduce(2, [1])
+        assert (n2, list(s2), d) == (1, [], 1)
 
     def test_quotients_identical_and_counts_preserved(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             n, offsets = random_beta_instance(rng, n_hi=128)
             d = reachability_divisor(n, offsets)
-            n2, s2 = beta_reduce(n, offsets, d)
+            n2, s2, d_fold = beta_reduce(n, offsets)
+            assert d_fold == d
             g = oracle.build_graph(n, offsets)
             h = oracle.build_graph(n2, s2)
             assert oracle.contract(g, d) == oracle.contract(h, d)
@@ -154,6 +162,7 @@ class TestReduce:
         assert c == 4
         orders = [s.n_before for s in trace.steps] + [trace.n_final]
         assert orders == [31, 7, 4, 2, 1]
+        assert [s.n_after for s in trace.steps] == [7, 4, 2, 1]
         assert [s.kind for s in trace.steps] == [BETA, ALPHA, BETA, BETA]
         assert [s.c for s in trace.steps] == [0, 3, 0, 0]
         assert [s.d for s in trace.steps] == [6, 5, 2, 1]
@@ -203,33 +212,33 @@ class TestReduce:
 
 class TestStepAndTraceInvariants:
     def test_alpha_step_checks(self):
-        ReductionStep(ALPHA, 7, 4, 5, 3)
+        step = ReductionStep(ALPHA, 7, 5)
+        assert (step.n_after, step.c) == (4, 3)
         with pytest.raises(ValueError):
-            ReductionStep(ALPHA, 7, 4, 5, 2)
+            ReductionStep(ALPHA, 8, 4)  # 2*d == n drops no vertex
         with pytest.raises(ValueError):
-            ReductionStep(ALPHA, 7, 5, 5, 3)
+            ReductionStep(ALPHA, 7, 7)  # d must lie below the order
 
     def test_beta_step_checks(self):
-        ReductionStep(BETA, 31, 7, 6, 0)
+        step = ReductionStep(BETA, 31, 6)
+        assert (step.n_after, step.c) == (7, 0)
         with pytest.raises(ValueError):
-            ReductionStep(BETA, 31, 7, 6, 1)
+            ReductionStep(BETA, 7, 4)  # folds to 4 + 3 = 7: no shrink
         with pytest.raises(ValueError):
-            ReductionStep(BETA, 31, 8, 6, 0)
-        with pytest.raises(ValueError):
-            ReductionStep(BETA, 10, 7, 5, 0)  # folded order must be d + (n mod d)
+            ReductionStep(BETA, 31, 0)  # needs a positive divisor
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            ReductionStep("gamma", 7, 4, 5, 3)
+            ReductionStep("gamma", 7, 5)
 
     def test_trace_chaining_enforced(self):
-        good = (ReductionStep(BETA, 31, 7, 6, 0), ReductionStep(ALPHA, 7, 4, 5, 3))
+        good = (ReductionStep(BETA, 31, 6), ReductionStep(ALPHA, 7, 5))
         ReductionTrace(good, 4)
         with pytest.raises(ValueError):
             ReductionTrace(good, 5)
         with pytest.raises(ValueError):
-            ReductionTrace((ReductionStep(BETA, 31, 7, 6, 0),
-                            ReductionStep(ALPHA, 9, 6, 6, 3)), 6)  # 9 != 7 breaks the chain
+            ReductionTrace((ReductionStep(BETA, 31, 6),
+                            ReductionStep(ALPHA, 9, 6)), 6)  # 9 != 7 breaks the chain
 
     def test_component_count_formula(self):
         trace, _ = reduce(OffsetSet(31, [12, 18, 24, 29]))

@@ -3,9 +3,10 @@
 The matrix is never materialised on the fast path: the first row is
 converted to its set of nonzero offsets, a pair of exact reductions shrinks
 the instance while tracking its component count, the recorded trace is
-replayed to label every vertex, and each component then yields one
-irreducible symmetric Toeplitz diagonal block.  A brute-force explicit-graph
-oracle backs every step for verification.
+replayed to label every vertex and to group the vertices by component, and
+each component then yields one irreducible symmetric Toeplitz diagonal
+block.  A brute-force explicit-graph oracle backs every step for
+verification.
 """
 
 from .core import FirstRow, OffsetSet, offsets_from_row, row_from_offsets, toeplitz_entry

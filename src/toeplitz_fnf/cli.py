@@ -49,7 +49,10 @@ DEFAULT_VERIFY_BUDGET = 20000
 #: comparison to structural per-block checks.
 DENSE_CHECK_LIMIT = 2048
 
-BENCH_POLICIES = ("uniform", "clustered")
+BENCH_POLICIES = ("uniform", "clustered", "two-class", "singletons")
+#: Largest size ``bench`` accepts: ten times the largest size of the scaling
+#: gates, and a row of 800 MB.
+MAX_BENCH_SIZE = 10**8
 
 
 class InputError(ValueError):
@@ -326,15 +329,22 @@ def generate_offsets(n: int, k: int, policy: str, rng: np.random.Generator) -> n
 
     ``uniform`` samples anywhere in ``[1, n-1]``; ``clustered`` samples near
     the top of the range, which keeps the survivor filter and the
-    isolated-band move busy.
+    isolated-band move busy.  ``two-class`` is offset 2 plus even offsets,
+    so odd and even vertices form two components (``n >= 3``);
+    ``singletons`` has no offsets, so every vertex is its own component.
     """
-    if n < 2:
+    if n < 2 or policy == "singletons":
         return np.empty(0, dtype=np.int64)
     if policy == "uniform":
         return _sample_distinct(rng, 1, n - 1, k)
     if policy == "clustered":
         lo = max(1, (3 * n) // 4)
         return _sample_distinct(rng, lo, n - 1, k)
+    if policy == "two-class":
+        if n < 3:
+            return np.empty(0, dtype=np.int64)
+        halves = _sample_distinct(rng, 2, (n - 1) // 2, k - 1)
+        return 2 * np.concatenate(([1], halves))
     raise InputError(f"unknown policy {policy!r}; expected one of {BENCH_POLICIES}")
 
 
@@ -380,6 +390,8 @@ def run_bench(sizes: list[int], policy: str = "uniform", seed: int = 0,
         raise InputError("sizes must be strictly ascending")
     if sizes[0] < 1:
         raise InputError(f"sizes must be at least 1, got {sizes[0]}")
+    if sizes[-1] > MAX_BENCH_SIZE:
+        raise InputError(f"sizes must be at most {MAX_BENCH_SIZE}, got {sizes[-1]}")
     if reps < 1:
         raise InputError("reps must be at least 1")
     rng = np.random.default_rng(seed)
@@ -436,8 +448,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InputError(f"invalid size {tok!r}") from exc
         # is_integer() is False for inf and NaN, so int() cannot overflow
-        if not (size.is_integer() and size >= 1):
-            raise InputError(f"size {tok!r} must be a whole number of at least 1")
+        if not (size.is_integer() and 1 <= size <= MAX_BENCH_SIZE):
+            raise InputError(f"size {tok!r} must be a whole number from 1 to "
+                             f"{MAX_BENCH_SIZE}")
         sizes.append(int(size))
     report = run_bench(sizes, policy=args.policy, seed=args.seed, reps=args.reps)
     sys.stdout.write(report.render())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FirstRow, offsets_from_row
-from .recovery import ComponentIndexSequence, recover_cis
+from .recovery import ComponentIndexSequence, recover_blocks, recover_cis
 from .reduction import ReductionTrace, reduce
 
 __all__ = [
@@ -134,30 +134,15 @@ class BlockViews(Sequence):
         return FnfBlock(size=hi - lo, first_row=first_row, vertices=vertices)
 
 
-def _group_by_label(cis: ComponentIndexSequence) -> tuple[np.ndarray, np.ndarray]:
-    """1-based vertices grouped by label, and the bounds of each group.
-
-    Label ``k`` owns ``vertices[bounds[k-1]:bounds[k]]``, in increasing
-    order.
-    """
-    dtype = cis.rho.dtype
-    if cis.c == 1:
-        return np.arange(1, cis.n + 1, dtype=dtype), np.array([0, cis.n])
-    vertices = np.argsort(cis.rho, kind="stable").astype(dtype, copy=False)
-    vertices += 1
-    counts = np.bincount(cis.rho, minlength=cis.c + 1)[1:]
-    return vertices, np.concatenate(([0], np.cumsum(counts)))
-
-
 def compute_fnf(row: FirstRow) -> FnfResult:
     """Full pipeline from a first row to its Frobenius normal form.
 
-    Runs offset extraction, the reduction loop, the trace replay, and the
-    grouping of vertices into blocks; total work is linear in the order of
-    the matrix.
+    Runs offset extraction and the reduction loop, then replays the trace
+    twice: once for the component labels and once for the vertices grouped
+    into blocks.  Total work is linear in the order of the matrix.
     """
     trace, _ = reduce(offsets_from_row(row))
     cis = recover_cis(trace)
-    permutation, bounds = _group_by_label(cis)
+    permutation, bounds = recover_blocks(trace)
     return FnfResult(row=row, cis=cis, permutation=permutation, block_bounds=bounds,
                      trace=trace)

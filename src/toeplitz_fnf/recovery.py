@@ -34,6 +34,23 @@ of ``C`` in ``[0, x)``.
 
 By (1) label order is the order of smallest vertices, and by (2) with
 ``x = n`` sizes do not increase along it, so it is the canonical order.
+
+:func:`recover_blocks` replays the same trace on the groups of vertices
+that share a label, listed in label order with each group increasing, so
+the block permutation needs no sort.  Undoing an alpha step shifts the
+positions right of the band and appends the band's singleton groups at
+the end; undoing a beta step with ``K, r = divmod(n, d)`` turns group
+``L``, whose positions below ``d`` are ``Q_L``, into ``Q_L + kd`` for
+``k < K`` followed by ``Q_L ∩ [0, r) + Kd``.  The second part is a prefix
+of ``Q_L`` because ``Q_L`` is sorted, and by (1) the folded group is
+exactly ``Q_L`` followed by ``Q_L ∩ [0, r) + d``.  Positions inside a
+group stay increasing, existing groups keep their order and fresh groups
+come last, just as fresh labels are the largest, so group ``L`` is label
+``L + 1`` throughout.  A beta undo loops over the groups when ``c <= K``
+and over ``k < K`` otherwise.  Every group has a position below ``d``, so
+``c <= d``, and ``Kd <= n``; each undo therefore runs at most
+``min(c, K) <= sqrt(n)`` Python iterations around vectorised work
+proportional to ``n``.
 """
 
 from __future__ import annotations
@@ -42,7 +59,7 @@ import numpy as np
 
 from .reduction import ALPHA, ReductionTrace
 
-__all__ = ["ComponentIndexSequence", "recover_cis"]
+__all__ = ["ComponentIndexSequence", "recover_cis", "recover_blocks"]
 
 
 def _index_dtype(n: int) -> type:
@@ -126,3 +143,80 @@ def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
     cis = ComponentIndexSequence.__new__(ComponentIndexSequence)
     cis.n, cis.c, cis.rho = n, trace.component_count, rho
     return cis
+
+
+def recover_blocks(trace: ReductionTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices grouped by component, and the bounds of each group.
+
+    Returns the 1-based ``permutation`` and ``bounds`` of length ``c + 1``:
+    the component with label ``L`` owns ``permutation[bounds[L-1]:bounds[L]]``,
+    in increasing order.  The trace is replayed on the groups themselves, so
+    no labels are sorted.
+    """
+    n, c = trace.n_initial, trace.component_count
+    dtype = _index_dtype(max(n, c))
+    if c == 1:
+        return np.arange(1, n + 1, dtype=dtype), np.array([0, n], dtype=np.int64)
+    perm = np.arange(trace.n_final, dtype=dtype)
+    bounds = np.arange(trace.n_final + 1, dtype=np.int64)
+
+    for step in reversed(trace.steps):
+        if step.kind == ALPHA:
+            # positions right of the band move past it; the band's vertices
+            # become singleton groups after all others
+            half = step.n_after // 2
+            width = step.n_before - step.n_after
+            out = np.empty(step.n_before, dtype=dtype)
+            old = out[:step.n_after]
+            old[:] = perm
+            np.add(old, width, out=old, where=old >= half)
+            out[step.n_after:] = np.arange(half, half + width, dtype=dtype)
+            perm = out
+            bounds = np.concatenate((bounds, bounds[-1] + np.arange(1, width + 1)))
+        else:
+            perm, bounds = _unfold_groups(perm, bounds, step.n_before, step.d, dtype)
+
+    perm += 1
+    return perm, bounds
+
+
+def _unfold_groups(perm: np.ndarray, bounds: np.ndarray, n: int, d: int,
+                   dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """Undo a beta fold of order ``n`` and period ``d`` on the groups.
+
+    Group ``L`` becomes ``Q_L + kd`` for ``k < K``, then the part of ``Q_L``
+    below ``r``, shifted by ``Kd`` (see the module docstring).
+    """
+    K = n // d
+    low = perm < d
+    # Q_L for every group, concatenated in group order
+    q = perm[low]
+    low_end = np.concatenate(([0], np.cumsum(low)))[bounds]
+    m = np.diff(low_end)
+    tail = np.diff(bounds) - m
+    new_bounds = np.concatenate(([0], np.cumsum(K * m + tail)))
+    out = np.empty(n, dtype=dtype)
+    c = m.size
+    if c <= K:
+        rows = np.arange(0, K * d, d, dtype=dtype)[:, None]
+        for lo, hi, q_lo, q_hi, t in zip(new_bounds[:-1].tolist(), new_bounds[1:].tolist(),
+                                         low_end[:-1].tolist(), low_end[1:].tolist(),
+                                         tail.tolist()):
+            group = q[q_lo:q_hi]
+            mid = hi - t
+            np.add(rows, group, out=out[lo:mid].reshape(K, q_hi - q_lo))
+            np.add(group[:t], K * d, out=out[mid:hi])
+    else:
+        # destination of each low position in row k: its group's start,
+        # plus its rank in Q_L, plus k times |Q_L|
+        where = np.repeat(new_bounds[:-1] - low_end[:-1], m) + np.arange(d)
+        stride = np.repeat(m, m)
+        last = q < n - K * d
+        for _ in range(K):
+            out[where] = q
+            where += stride
+            q += d
+        # q is now Q + Kd; entries not in `last` are past n, maybe past the
+        # dtype's range, and are not read
+        out[where[last]] = q[last]
+    return out, new_bounds

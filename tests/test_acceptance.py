@@ -253,3 +253,15 @@ def test_criterion_8_degenerate_inputs():
     full = compute_fnf(row_from_offsets(40, range(1, 40)))
     ok = ok and full.component_count == 1
     _line(8, "degenerate inputs verify cleanly", ok)
+
+
+@pytest.mark.parametrize("policy", ["two-class", "singletons"])
+def test_criterion_9_linear_scaling_with_many_components(policy):
+    # c = 2 and c = n: the shapes where grouping vertices into blocks is
+    # most of the work
+    report = run_bench([10**5, 10**6, 10**7], policy=policy, seed=1234, reps=3)
+    medians = {r.n: r.median for r in report.rows}
+    ok = report.slope is not None and 0.8 <= report.slope <= 1.45
+    ok = ok and medians[10**7] < 0.15
+    _line(9, f"{policy}: slope {report.slope:.2f}, 1e7 median "
+             f"{medians[10**7] * 1e3:.0f}ms", ok)

@@ -390,6 +390,26 @@ class TestBenchCommand:
         with pytest.raises(InputError):
             run_bench([0, 400], reps=1)
 
+    def test_sizes_have_a_maximum(self, capsys, monkeypatch):
+        # every case is refused before a row is built
+        assert run(["bench", "--sizes", "1e20", "--reps", "1"]) == EXIT_INPUT
+        assert "size" in capsys.readouterr().err
+        with pytest.raises(InputError):
+            run_bench([10, 10**20], reps=1)
+        assert run(["bench", "--sizes", f"{cli.MAX_BENCH_SIZE + 1}"]) == EXIT_INPUT
+        with pytest.raises(InputError):
+            run_bench([cli.MAX_BENCH_SIZE + 1], reps=1)
+        # the maximum itself is accepted
+        seen = []
+
+        def fake_bench(sizes, **kwargs):
+            seen.append(sizes)
+            return cli.BenchReport(seed=0, policy="uniform", reps=1, rows=[], slope=None)
+
+        monkeypatch.setattr(cli, "run_bench", fake_bench)
+        assert run(["bench", "--sizes", "1e8"]) == EXIT_OK
+        assert seen == [[cli.MAX_BENCH_SIZE]]
+
     def test_policies_generate_valid_offsets(self):
         rng = np.random.default_rng(3)
         for policy in ("uniform", "clustered"):
@@ -399,6 +419,16 @@ class TestBenchCommand:
             assert np.all(np.diff(offs) > 0)
         clustered = generate_offsets(1000, 9, "clustered", np.random.default_rng(4))
         assert clustered.min() >= 750
+
+    def test_component_count_policies(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 200):
+            two = generate_offsets(n, 9, "two-class", rng)
+            assert np.all(two % 2 == 0) and np.all(np.diff(two) > 0)
+            assert compute_fnf(row_from_offsets(n, two)).component_count == min(n, 2)
+            none = generate_offsets(n, 9, "singletons", rng)
+            assert compute_fnf(row_from_offsets(n, none)).component_count == n
+        assert generate_offsets(1000, 9, "two-class", rng).size == 9
 
     def test_reports_are_reproducible_structurally(self):
         a = run_bench([400, 800], seed=5, reps=2)

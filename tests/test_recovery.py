@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toeplitz_fnf import ComponentIndexSequence, OffsetSet, recover_cis, reduce
+from toeplitz_fnf import (ComponentIndexSequence, OffsetSet, compute_fnf, recover_cis, reduce,
+                          row_from_offsets)
 from toeplitz_fnf import oracle
+from toeplitz_fnf.recovery import _unfold_groups, recover_blocks
 from toeplitz_fnf.reduction import ALPHA, BETA, ReductionStep, ReductionTrace
 
-from conftest import random_instance
+from conftest import random_instance, sweep_instances
 
 GOLDEN_PARTITION = {
     frozenset({3, 9, 15, 21, 27}),
@@ -101,3 +104,113 @@ class TestComponentIndexSequence:
         cis = ComponentIndexSequence(n=5, c=2, rho=np.array([2, 1, 2, 1, 2]))
         assert oracle.partition_from_labels(cis.rho) == {frozenset({2, 4}),
                                                          frozenset({1, 3, 5})}
+
+
+def _argsort_blocks(cis):
+    """Reference grouping by a stable sort of the labels (test-only copy of
+    the grouping the group replay replaced)."""
+    dtype = cis.rho.dtype
+    if cis.c == 1:
+        return np.arange(1, cis.n + 1, dtype=dtype), np.array([0, cis.n])
+    vertices = np.argsort(cis.rho, kind="stable").astype(dtype, copy=False)
+    vertices += 1
+    counts = np.bincount(cis.rho, minlength=cis.c + 1)[1:]
+    return vertices, np.concatenate(([0], np.cumsum(counts)))
+
+
+def _assert_matches_argsort(n, offsets):
+    res = compute_fnf(row_from_offsets(n, offsets))
+    perm, bounds = _argsort_blocks(res.cis)
+    assert res.permutation.dtype == perm.dtype
+    assert res.block_bounds.dtype == bounds.dtype
+    assert np.array_equal(res.permutation, perm)
+    assert np.array_equal(res.block_bounds, bounds)
+    return res
+
+
+def _replay_paths(trace):
+    """The branches the group replay takes on ``trace``, in replay order."""
+    if trace.component_count == 1:
+        return ["shortcut"]
+    paths, groups = [], trace.n_final
+    for step in reversed(trace.steps):
+        if step.kind == ALPHA:
+            groups += step.c
+            paths.append("alpha")
+        else:
+            K, r = divmod(step.n_before, step.d)
+            loop = "groups" if groups <= K else "rows"
+            paths.append(f"{loop}, r{'=0' if r == 0 else '>0'}")
+    return paths
+
+
+class TestRecoverBlocks:
+    """The group replay equals a stable sort of the labels, dtype included."""
+
+    @pytest.mark.parametrize("n, offsets, path", [
+        (1000, [2, 4], "groups, r=0"),
+        (1001, [2], "groups, r>0"),
+        (21, [7], "rows, r=0"),
+        (20, [7], "rows, r>0"),
+    ])
+    def test_each_beta_branch(self, n, offsets, path):
+        res = _assert_matches_argsort(n, offsets)
+        assert path in _replay_paths(res.trace)
+
+    def test_alpha_undo_then_beta_undos(self):
+        for n, offsets in ((31, [12, 18, 24, 29]), (200, [150, 170, 190])):
+            res = _assert_matches_argsort(n, offsets)
+            paths = _replay_paths(res.trace)
+            assert "alpha" in paths
+            assert any(p != "alpha" for p in paths[paths.index("alpha"):])
+
+    @pytest.mark.parametrize("n, offsets, paths", [
+        (1, [], ["shortcut"]),
+        (2, [], []),
+        (9, [], []),
+        (5, [1], ["shortcut"]),
+    ])
+    def test_traces_without_steps_and_one_component(self, n, offsets, paths):
+        res = _assert_matches_argsort(n, offsets)
+        assert _replay_paths(res.trace) == paths
+        if not res.trace.steps and n > 1:
+            assert res.permutation.tolist() == list(range(1, n + 1))
+            assert res.block_bounds.tolist() == list(range(n + 1))
+
+    def test_rows_loop_near_the_top_of_the_index_dtype(self):
+        # n = 127 with int8 positions: after the last row, Q + Kd passes 127
+        # for the positions not copied again, and must not be read
+        folded, _ = reduce(OffsetSet(27, [20]))
+        perm, bounds = recover_blocks(folded)
+        out, out_bounds = _unfold_groups((perm - 1).astype(np.int8), bounds, 127, 20, np.int8)
+        res = _assert_matches_argsort(127, [20])
+        assert "rows, r>0" in _replay_paths(res.trace)
+        assert out.tolist() == (res.permutation - 1).tolist()
+        assert out_bounds.tolist() == res.block_bounds.tolist()
+
+    def test_every_offset_set_up_to_order_14(self):
+        seen = set()
+        for n in range(1, 15):
+            for mask in range(2 ** (n - 1)):
+                res = _assert_matches_argsort(
+                    n, [s for s in range(1, n) if mask >> (s - 1) & 1])
+                seen.update(_replay_paths(res.trace))
+        assert seen == {"shortcut", "alpha", "groups, r=0", "groups, r>0",
+                        "rows, r=0", "rows, r>0"}
+
+    def test_acceptance_sweep(self):
+        for n, offsets in sweep_instances():
+            _assert_matches_argsort(n, offsets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3000), stride=st.integers(1, 80),
+           quarter=st.sampled_from((0, 2, 3)),
+           picks=st.lists(st.integers(0, 2 ** 31), max_size=8))
+    def test_strided_and_clustered_rows(self, n, stride, quarter, picks):
+        # multiples of ``stride`` in the whole range, the upper half or the
+        # top quarter: large strides give many groups and few rows per beta
+        # fold; no picks is the all-zero row
+        lo = -(-(1 + quarter * (n - 1) // 4) // stride)
+        hi = (n - 1) // stride
+        offsets = sorted({stride * (lo + p % (hi - lo + 1)) for p in picks}) if hi >= lo else []
+        _assert_matches_argsort(n, offsets)

@@ -5,8 +5,7 @@ converted to its set of nonzero offsets, a pair of exact reductions shrinks
 the instance while tracking its component count, the recorded trace is
 replayed to label every vertex and to group the vertices by component, and
 each component then yields one irreducible symmetric Toeplitz diagonal
-block.  A brute-force explicit-graph oracle backs every step for
-verification.
+block.  ``fnf verify`` checks a result exactly, sharing no code with it.
 """
 
 from .core import FirstRow, OffsetSet, offsets_from_row, row_from_offsets, toeplitz_entry

@@ -1,13 +1,10 @@
-"""Assemble the Frobenius normal form from a component labelling.
+"""Assemble the Frobenius normal form from the vertices grouped into blocks.
 
-Each component of the graph attached to a symmetric Toeplitz first row is,
-after relabelling its vertices ``n_1 < ... < n_k`` as ``1..k``, again the
-graph of a symmetric Toeplitz matrix whose first row reads off the original
-one at offsets ``n_l - n_1``.  Listing the vertices component by component
-yields a permutation under which the full matrix becomes the direct sum of
-irreducible symmetric Toeplitz blocks; cut at the block bounds, that
-permutation already is the decomposition, so blocks are built only when
-read.
+Each component of the graph of a symmetric Toeplitz first row, relabelled
+``1..k`` in vertex order ``n_1 < ... < n_k``, is the graph of the symmetric
+Toeplitz matrix whose first row reads the original at ``n_l - n_1``.  Cut at
+the block bounds, the trace replay's permutation, which lists the vertices
+component by component, is the decomposition; blocks are built when read.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -221,20 +223,26 @@ class TestOptimisedInterpreter:
     """``python -O`` strips asserts; no check may depend on one."""
 
     @staticmethod
-    def _compute(tmp_path, text, *flags):
+    def _run(tmp_path, text, *flags, command="compute"):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         path = _write(tmp_path, "row.txt", text)
-        return subprocess.run([sys.executable, *flags, "-m", "toeplitz_fnf", "compute", path],
+        return subprocess.run([sys.executable, *flags, "-m", "toeplitz_fnf", command, path],
                               capture_output=True, env=env)
 
     def test_same_output_under_dash_o(self, tmp_path):
-        plain = self._compute(tmp_path, GOLDEN_31_TEXT)
-        optimised = self._compute(tmp_path, GOLDEN_31_TEXT, "-O")
+        plain = self._run(tmp_path, GOLDEN_31_TEXT)
+        optimised = self._run(tmp_path, GOLDEN_31_TEXT, "-O")
         assert plain.returncode == optimised.returncode == EXIT_OK
         assert optimised.stdout == plain.stdout
 
+    def test_verify_same_output_under_dash_o(self, tmp_path):
+        plain = self._run(tmp_path, GOLDEN_31_TEXT, command="verify")
+        optimised = self._run(tmp_path, GOLDEN_31_TEXT, "-O", command="verify")
+        assert plain.returncode == optimised.returncode == EXIT_OK, plain.stdout[-300:]
+        assert optimised.stdout == plain.stdout
+
     def test_non_finite_is_input_error_under_dash_o(self, tmp_path):
-        assert self._compute(tmp_path, "0 inf", "-O").returncode == EXIT_INPUT
+        assert self._run(tmp_path, "0 inf", "-O").returncode == EXIT_INPUT
 
 
 class TestComputeCommand:
@@ -348,16 +356,105 @@ class TestVerifyCommand:
         assert run(["verify", path]) == EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
 
-    def test_structural_mode_above_dense_limit(self, monkeypatch):
-        monkeypatch.setattr(cli, "DENSE_CHECK_LIMIT", 16)
-        report = verify_row(row_from_offsets(40, [13, 17]))
-        assert report.passed
-        assert report.checks[-1] == ("reconstruction_sampled", True,
-                                     "16 of 40 vertices in 1 of 1 blocks")
-        # no block above the limit: every entry is compared, so the check is exact
-        report = verify_row(row_from_offsets(40, [30]))
-        assert report.passed
-        assert report.checks[-1] == ("reconstruction_exact", True, "structural")
+    def test_order_5000_is_checked_exactly(self):
+        # one block of 5000 vertices: every nonzero pair is read, none sampled
+        report = verify_row(row_from_offsets(5000, [1, 7, 40]))
+        assert report.passed, report.checks
+        assert report.checks[-1] == ("reconstruction_exact", True,
+                                     "14952 nonzero pairs; the 1 blocks hold 14952")
+
+    @staticmethod
+    def _tampered(monkeypatch, tamper):
+        """Make ``verify`` judge ``tamper(compute_fnf(row))`` instead of the result."""
+        monkeypatch.setattr(cli, "compute_fnf", lambda row: tamper(compute_fnf(row)))
+
+    @staticmethod
+    def _with_permutation(result, edit):
+        perm = result.permutation.copy()
+        edit(perm)
+        return dataclasses.replace(result, permutation=perm)
+
+    def test_swapped_permutation_entries_fail(self, tmp_path, capsys, monkeypatch):
+        # n = 5000, offsets [1, 7, 40]: two neighbouring positions of the one block swapped
+        def swap(perm):
+            perm[5], perm[6] = perm[6], perm[5]
+
+        self._tampered(monkeypatch, lambda res: self._with_permutation(res, swap))
+        row = row_from_offsets(5000, [1, 7, 40])
+        path = _write(tmp_path, "row.txt", " ".join(map(repr, row.entries.tolist())))
+        code = run(["verify", path])
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY_FAILED, out[-300:]
+        assert "check reconstruction_exact: FAIL" in out, out[-300:]
+
+    def test_duplicated_permutation_entry_fails(self, monkeypatch):
+        # n = 5000, offsets [1, 7, 40]: vertex perm[6] listed twice, perm[5] missing
+        def duplicate(perm):
+            perm[5] = perm[6]
+
+        self._tampered(monkeypatch, lambda res: self._with_permutation(res, duplicate))
+        report = verify_row(row_from_offsets(5000, [1, 7, 40]))
+        assert report.checks[-1] == ("reconstruction_exact", False, "the permutation does not "
+                                     "list the components block by block"), report.checks
+
+    def test_blocks_coarser_than_components_fail(self, monkeypatch):
+        # all-zero row of order 3 cut into one block: the zero matrix is its
+        # direct sum, but the block is reducible
+        def one_block(res):
+            object.__setattr__(res, "block_bounds", np.array([0, 3]))
+            return res
+
+        self._tampered(monkeypatch, one_block)
+        report = verify_row(FirstRow([0.0, 0.0, 0.0]))
+        assert report.checks[-1] == ("reconstruction_exact", False, "the permutation does not "
+                                     "list the components block by block"), report.checks
+
+    def test_block_diagonal_other_than_a0_fails(self, monkeypatch):
+        # row 0 0 3 0 8 0 9: the blocks read a result row whose a_0 is 5, not 0
+        def diagonal(res):
+            entries = res.row.entries.copy()
+            entries[0] = 5.0
+            return dataclasses.replace(res, row=FirstRow(entries))
+
+        self._tampered(monkeypatch, diagonal)
+        report = verify_row(FirstRow([0, 0, 3, 0, 8, 0, 9]))
+        assert report.checks[0][1], report.checks
+        assert report.checks[-1] == ("reconstruction_exact", False,
+                                     "a pair at offset 0 is no entry a_0 of a block")
+
+    def test_block_entry_missing_from_the_row_fails(self, monkeypatch):
+        # n = 40, offsets [2]: every pair reads right, but the blocks also
+        # read a_4 = 1, which the row does not have; only the count sees it
+        def extra(res):
+            entries = res.row.entries.copy()
+            entries[4] = 1.0
+            return dataclasses.replace(res, row=FirstRow(entries))
+
+        self._tampered(monkeypatch, extra)
+        report = verify_row(row_from_offsets(40, [2]))
+        assert report.checks[0][1], report.checks
+        assert report.checks[-1] == ("reconstruction_exact", False,
+                                     "38 nonzero pairs; the 2 blocks hold 74")
+
+    def test_budget_counts_work_units(self, tmp_path, capsys):
+        # n = 300, offsets 1..299: 300 + 44850 work units, though only order 300
+        row = row_from_offsets(300, range(1, 300))
+        path = _write(tmp_path, "row.txt", " ".join(map(repr, row.entries.tolist())))
+        assert run(["verify", "--budget", "1000", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "budget" in err and "45150" in err, err
+
+    def test_two_class_row_at_order_1e6(self):
+        # n = 1e6, offset 2 plus 19 even offsets (seed 7): two blocks
+        offsets = generate_offsets(10**6, 20, "two-class", np.random.default_rng(7))
+        row = row_from_offsets(10**6, offsets)
+        start = time.perf_counter()
+        report = verify_row(row)
+        elapsed = time.perf_counter() - start
+        assert [(name, ok) for name, ok, _ in report.checks] == [
+            ("partition_matches_oracle", True), ("reconstruction_exact", True)], report.checks
+        assert report.component_count == 2
+        assert elapsed < 2.0, f"verify took {elapsed:.2f} s"
 
 
 class TestBenchCommand:
@@ -440,5 +537,5 @@ class TestVerifyReportOrdering:
     def test_report_lists_all_checks(self):
         report = verify_row(FirstRow([0, 0, 3, 0, 8, 0, 9]))
         names = [name for name, _, _ in report.checks]
-        assert names == ["partition_matches_oracle", "blocks_connected", "reconstruction_exact"]
+        assert names == ["partition_matches_oracle", "reconstruction_exact"]
         assert report.passed

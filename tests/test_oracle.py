@@ -2,6 +2,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toeplitz_fnf import oracle
 from toeplitz_fnf.oracle import (
@@ -14,6 +15,7 @@ from toeplitz_fnf.oracle import (
     contract,
     cycle_structure_check,
     dense_matrix,
+    hook_and_jump_labels,
     is_d_reachable,
     is_principal_submatrix,
     nesting_check,
@@ -77,6 +79,45 @@ class TestComponents:
             g = build_graph(n, offsets)
             assert canonical_partition(components_oracle(g)) == \
                 partition_from_labels(toeplitz_component_labels(n, offsets))
+
+
+def _assert_hooked_labels_match(n, offsets):
+    """``hook_and_jump_labels`` must give the union-find's canonical labels."""
+    got = hook_and_jump_labels(n, offsets).tolist()
+    want = toeplitz_component_labels(n, offsets)
+    if got != want:
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        pytest.fail(f"n={n} offsets={list(offsets)[:8]}: labels differ from vertex {i + 1}: "
+                    f"{got[i:i + 6]} != {want[i:i + 6]}")
+
+
+class TestHookAndJumpLabels:
+    def test_random_instances(self):
+        rng = np.random.default_rng(76)
+        for _ in range(300):
+            _assert_hooked_labels_match(*random_instance(rng, n_hi=96))
+
+    @pytest.mark.parametrize("n, offsets", [
+        (1, []),
+        (31, []),
+        (50, [1]),
+        (50, [2, 3]),
+        (3000, [999, 1001]),
+        (40, [39]),
+        (31, [12, 18, 24, 29]),
+    ], ids=["order-one", "all-zero", "path", "2-3", "999-1001", "n-1", "golden-31"])
+    def test_named_cases(self, n, offsets):
+        _assert_hooked_labels_match(n, offsets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 3000), quarter=st.sampled_from((0, 2, 3)),
+           picks=st.lists(st.integers(0, 2 ** 31), max_size=8))
+    def test_rows_up_to_order_3000(self, n, quarter, picks):
+        # offsets anywhere, in the upper half or in the top quarter (c close
+        # to n); no picks is the all-zero row
+        lo = 1 + quarter * (n - 1) // 4
+        offsets = sorted({lo + p % (n - lo) for p in picks}) if n > lo else []
+        _assert_hooked_labels_match(n, offsets)
 
 
 class TestDisjointSet:

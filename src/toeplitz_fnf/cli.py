@@ -7,7 +7,7 @@ two vectorised checks that share no code with the pipeline.
 slope of the median runtimes.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 unexpected
-internal failure.
+internal failure, which prints its traceback to stderr if ``FNF_DEBUG=1``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -129,69 +130,105 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
 # ---------------------------------------------------------------------------
 # output rendering
 
-def _python_numbers(entries: np.ndarray) -> np.ndarray:
-    """The row as an object array of Python numbers, integral values as ints.
+#: Entries formatted per vectorised pass; it bounds the passes' index arrays.
+CHUNK = 1 << 16
 
-    Integral floats print as plain integers (``2.0`` as ``2``, ``-0.0`` as
-    ``0``, ``1e300`` in full); every other value keeps its float repr.
+
+def _decimal(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative integers in decimal, each followed by ``sep``, and each one's byte count.
+
+    The digits fill a grid a column per pass, right-aligned before ``sep``;
+    dropping the leading zeros lays the entries end to end.
     """
-    whole = np.trunc(entries) == entries
-    small = whole & (np.abs(entries) < 2.0**63)
-    nums = np.where(small, entries, 0.0).astype(np.int64).astype(object)
-    fractional = ~whole
-    nums[fractional] = entries[fractional].astype(object)
-    for i in np.flatnonzero(whole & ~small).tolist():
-        nums[i] = int(entries[i])
-    return nums
+    width = len(str(values.max()))
+    grid = np.empty((values.size, width + len(sep)), dtype=np.uint8)
+    for column, byte in enumerate(sep.encode("ascii"), start=width):
+        grid[:, column] = byte
+    keep = np.ones(grid.shape, dtype=bool)
+    count = np.full(values.size, 1 + len(sep))
+    rest = values
+    for column in range(width - 1, -1, -1):
+        rest, whole = rest // 10, rest
+        grid[:, column] = whole - rest * 10 + ord("0")
+        if column:  # the digit left of this one is a leading zero once nothing is left
+            keep[:, column - 1] = rest > 0
+            count += keep[:, column - 1]
+    return grid[keep], count
 
 
-def _slices(text: str, bounds: np.ndarray, sep: str):
-    """Yield the joined ``[e0<sep>e1...]`` text cut into one slice per block.
+def _row_tokens(entries: np.ndarray, sep: str):
+    """Each row entry's token id, and a writer of ids as bytes with each one's byte count.
 
-    No formatted number holds a comma, so the ``i``-th comma ends entry
-    ``i``.  Only the cuts at the block bounds are kept, and the memoryview
-    makes each a Python int only when it is read.
+    Each nonzero entry is formatted once: integral values as plain integers
+    (``1e300`` in full), others by their float repr.  All zeros (``-0.0``
+    too) share token 0, ``0``.  Every token is followed by ``sep``.
     """
-    start = 1
-    if bounds.size > 2:
-        commas = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(",")
-        cuts = memoryview(np.flatnonzero(commas)[bounds[1:-1] - 1])
-        del commas  # not held while the generator waits between blocks
-        for cut in cuts:
-            yield text[start:cut]
-            start = cut + len(sep)
-    yield text[start:-1]
+    nonzero = np.flatnonzero(entries)
+    texts, counts = [("0" + sep).encode("ascii")], [np.ones(1, dtype=np.int64)]
+    for at in range(0, nonzero.size, CHUNK):
+        chunk = [str(int(x)) if x.is_integer() else repr(x)
+                 for x in entries[nonzero[at:at + CHUNK]].tolist()]
+        texts.append((sep.join(chunk) + sep).encode("ascii"))
+        counts.append(np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk)))
+    table = np.frombuffer(b"".join(texts), dtype=np.uint8)
+    count = np.concatenate(counts) + len(sep)
+    end = np.cumsum(count)
+    ids = np.zeros(entries.size, dtype=np.min_scalar_type(nonzero.size))
+    ids[nonzero] = np.arange(1, nonzero.size + 1)
+
+    def write(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n_bytes = count[chunk]
+        ends = np.cumsum(n_bytes)
+        return table[np.repeat(end[chunk] - ends, n_bytes) + np.arange(ends[-1])], n_bytes
+    return ids, write
+
+
+def _join(values: np.ndarray, write, last: np.ndarray, sep: str):
+    """The values' texts laid end to end, and a generator of each block's text.
+
+    ``write`` formats ``CHUNK`` values at a time (see :func:`_decimal`);
+    ``last`` lists, ascending, the last entry of each block but the final one.
+    """
+    chunks, ends, offset = [], [], 0
+    for at in range(0, values.size, CHUNK):
+        data, count = write(values[at:at + CHUNK])
+        here = last[np.searchsorted(last, at):np.searchsorted(last, at + count.size)]
+        ends.append(offset + np.cumsum(count)[here - at] - len(sep))  # where each block ends
+        chunks.append(data)
+        offset += data.size
+    chunks[-1] = chunks[-1][:-len(sep)]  # a view: the text is not copied to drop it
+    text = b"".join(chunks).decode("ascii")
+    ends = np.concatenate([*ends, [len(text)]])
+
+    def blocks():
+        start = 0
+        for end in memoryview(ends):  # one Python int at a time, not a list of c
+            yield text[start:end]
+            start = end + len(sep)
+    return text, blocks()
 
 
 def _pieces(result: FnfResult, sep: str):
-    """Joined label and permutation texts, and per block its size, vertices and first row.
-
-    The labels, the permutation and the block rows laid end to end are each
-    formatted once by ``json.dumps``; a block's vertices and first row are
-    slices of the permutation and block-row texts.
-    """
-    perm = result.permutation
-    bounds = result.block_bounds
-    sizes = np.diff(bounds)
-    rows = _python_numbers(result.row.entries)[perm - np.repeat(perm[bounds[:-1]], sizes)]
-
-    def join(values) -> str:
-        return json.dumps(values.tolist(), separators=(sep, ":"))
-
-    perm_text = join(perm)
-    blocks = zip(sizes.tolist(), _slices(perm_text, bounds, sep),
-                 _slices(join(rows), bounds, sep))
-    return join(result.cis.rho), perm_text, blocks
+    """Joined label and permutation texts, and per block its size, vertices and first row."""
+    perm, bounds = result.permutation, result.block_bounds
+    last = bounds[1:-1] - 1
+    token, write_row = _row_tokens(result.row.entries, sep)
+    perm_text, vertices = _join(perm, lambda chunk: _decimal(chunk, sep), last, sep)
+    # a block's row is read at each vertex's distance from the block's first vertex
+    _, rows = _join(token[perm - np.repeat(perm[bounds[:-1]], np.diff(bounds))],
+                    write_row, last, sep)
+    cis, _ = _join(result.cis.rho, lambda chunk: _decimal(chunk, sep), last[:0], sep)
+    return cis, perm_text, zip(memoryview(np.diff(bounds)), vertices, rows)
 
 
 def render_json(result: FnfResult, include_trace: bool = False) -> str:
     """The JSON document ``fnf compute`` prints, newline included."""
     cis, perm, blocks = _pieces(result, ", ")
     parts = [f'{{"n": {result.n}, "component_count": {result.component_count}, '
-             f'"cis": {cis}, "blocks": [',
+             f'"cis": [{cis}], "blocks": [',
              ", ".join([f'{{"size": {size}, "first_row": [{row}], "vertices": [{verts}]}}'
                         for size, verts, row in blocks]),
-             f'], "permutation": {perm}']
+             f'], "permutation": [{perm}]']
     if include_trace:
         steps = [{"kind": s.kind, "n_before": s.n_before, "n_after": s.n_after,
                   "d": s.d, "c": s.c} for s in result.trace.steps]
@@ -213,8 +250,7 @@ def render_text(result: FnfResult, include_trace: bool = False) -> str:
     lines = [f"n {result.n}", f"components {result.component_count}"]
     lines += [f"block {k} size={size} vertices={verts} first_row={row}"
               for k, (size, verts, row) in enumerate(blocks, start=1)]
-    lines.append(f"permutation {perm[1:-1]}")
-    lines.append(f"cis {cis[1:-1]}")
+    lines += [f"permutation {perm}", f"cis {cis}"]
     if include_trace:
         for s in result.trace.steps:
             lines.append(f"trace {s.kind} n={s.n_before}->{s.n_after} d={s.d} c={s.c}")
@@ -252,11 +288,11 @@ def _reconstruction_exact(row: FirstRow, result: FnfResult, labels, offsets) -> 
     perm = result.permutation - 1
     where = np.full(n, -1, dtype=perm.dtype)
     if perm.shape == (n,) and perm.min() >= 0 and perm.max() < n:
-        where[perm] = np.arange(n)
+        where[perm] = np.arange(n, dtype=perm.dtype)
     bounds = result.block_bounds
     sizes = np.diff(bounds)
     if ((where < 0).any() or bounds[0] != 0 or (sizes < 1).any() or not np.array_equal(
-            labels[perm], np.repeat(np.arange(1, sizes.size + 1), sizes))):
+            labels[perm], np.repeat(np.arange(1, sizes.size + 1, dtype=perm.dtype), sizes))):
         return False, "the permutation does not list the components block by block"
     home = np.repeat(bounds[:-1].astype(perm.dtype), sizes)  # block start per position
     rows = result.row.entries[perm - perm[home]]
@@ -265,8 +301,9 @@ def _reconstruction_exact(row: FirstRow, result: FnfResult, labels, offsets) -> 
         at = start[s:] + np.abs(where[s:] - where[:n - s])  # b at the pair's position gap
         if not (rows[at] == row.entries[s]).all():
             return False, f"a pair at offset {s} is no entry a_{s} of a block"
-    inner = np.arange(n) - home
-    held = int((np.repeat(sizes, sizes) - inner)[(inner > 0) & (rows != 0)].sum())
+    inner = np.arange(n, dtype=perm.dtype) - home  # n-sized temporaries in perm's dtype
+    gaps = np.repeat(sizes.astype(perm.dtype), sizes) - inner  # a block's pairs at this gap
+    held = int(gaps[(inner > 0) & (rows != 0)].sum(dtype=np.int64))
     pairs = int((n - offsets).sum())
     return held == pairs, f"{pairs} nonzero pairs; the {sizes.size} blocks hold {held}"
 
@@ -486,6 +523,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - internal contract violations
         print(f"internal error: {exc}", file=sys.stderr)
+        if os.environ.get("FNF_DEBUG") == "1":
+            import traceback  # only on this path: it costs nothing when the switch is off
+            traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -175,6 +175,28 @@ def _golden_31():
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -0.0, 2.0**53, 0.0, 2.0**53 + 2, 0.0, 1e300, 0.0,
                   -1e22, 0.0, 2.0**63, 0.0, -(2.0**63)]
 
+def _thirds_row():
+    """Order ``3 * CHUNK``, every nonzero offset a multiple of 3.
+
+    The three residue classes are the blocks, so both inner block bounds sit
+    on chunk edges.  The block rows hold fractional, ``-0.0`` and integral
+    values beyond ``2**63``.
+    """
+    entries = np.zeros(3 * cli.CHUNK)
+    entries[0] = -0.0
+    entries[30::33] = -0.0
+    entries[[3, 6, 9, 12, 300, 120_000]] = [0.5, 2.0**63, -1e22, 2.5e-7, 7.0, -(2.0**64)]
+    return entries.tolist()
+
+
+def _dense_row(n, seed):
+    """No zero entry, so every entry is its own token: the tokens fill several chunks."""
+    rng = np.random.default_rng(seed)
+    entries = rng.integers(1, 10**6, size=n) / 64 - 7812.5
+    entries[entries == 0] = 0.25
+    return entries.tolist()
+
+
 WRITER_ROWS = {
     "golden-31": _golden_31(),
     "weighted-7": [0.0, 0.0, 3.0, 0.0, 8.0, 0.0, 9.0],
@@ -183,6 +205,10 @@ WRITER_ROWS = {
     "two-fractional": [0.75, 0.0, 0.5, 0.0, 0.0, 0.0, 1.25, 0.0, 0.0, 0.0, -3.125, 0.0, 0.0],
     "special-values": SPECIAL_VALUES,
     "clustered-3001": _clustered_row(3001, 11),
+    # past two chunk edges, and past every digit width up to 10**5
+    "thirds-3-chunks": _thirds_row(),
+    "all-zero-2-chunks+1": [0.0] * (2 * cli.CHUNK + 1),
+    "dense-2-chunks+7": _dense_row(2 * cli.CHUNK + 7, 13),
 }
 
 
@@ -193,21 +219,33 @@ class TestWriterBytes:
         result = compute_fnf(FirstRow(values))
         inputs = (_write(tmp_path, "row.txt", " ".join(map(repr, values))),
                   _write(tmp_path, "row.json", json.dumps({"first_row": values})))
+        references = {(fmt, trace): reference(result, trace)
+                      for fmt, reference in (("json", _reference_json), ("text", _reference_text))
+                      for trace in (False, True)}
         for path in inputs:
-            for fmt, reference in (("json", _reference_json), ("text", _reference_text)):
-                for trace in (False, True):
-                    argv = ["compute", "--format", fmt] + ["--trace"] * trace + [path]
-                    assert run(argv) == EXIT_OK
-                    got, want = capsys.readouterr().out, reference(result, trace)
-                    if got != want:
-                        # a short excerpt: a full diff of long lines takes minutes
-                        i = len(os.path.commonprefix([got, want]))
-                        pytest.fail(f"{argv}: first difference at character {i}: "
-                                    f"{got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}")
+            for (fmt, trace), want in references.items():
+                argv = ["compute", "--format", fmt] + ["--trace"] * trace + [path]
+                assert run(argv) == EXIT_OK
+                got = capsys.readouterr().out
+                if got != want:
+                    # a short excerpt: a full diff of long lines takes minutes
+                    i = len(os.path.commonprefix([got, want]))
+                    pytest.fail(f"{argv}: first difference at character {i}: "
+                                f"{got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}")
 
     def test_rows_cut_into_several_blocks(self):
         assert compute_fnf(FirstRow(WRITER_ROWS["special-values"])).component_count == 2
         assert compute_fnf(FirstRow(WRITER_ROWS["clustered-3001"])).component_count > 1000
+
+    def test_rows_cross_chunk_edges(self):
+        chunk = cli.CHUNK
+        thirds = compute_fnf(FirstRow(WRITER_ROWS["thirds-3-chunks"]))
+        assert thirds.block_bounds.tolist() == [0, chunk, 2 * chunk, 3 * chunk]
+        assert thirds.n > 10**5
+        zero = compute_fnf(FirstRow(WRITER_ROWS["all-zero-2-chunks+1"]))
+        assert zero.component_count == zero.n > 2 * chunk
+        dense = compute_fnf(FirstRow(WRITER_ROWS["dense-2-chunks+7"]))
+        assert dense.component_count == 1 and np.count_nonzero(dense.row.entries) > 2 * chunk
 
     def test_compute_reads_no_block_objects(self, tmp_path, monkeypatch):
         def refuse(self):
@@ -313,9 +351,59 @@ class TestComputeCommand:
             raise RuntimeError("synthetic fault")
 
         monkeypatch.setattr(cli, "compute_fnf", broken)
+        monkeypatch.delenv("FNF_DEBUG", raising=False)
         path = _write(tmp_path, "row.txt", "0 1")
         assert run(["compute", path]) == cli.EXIT_INTERNAL
-        assert "internal error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error: synthetic fault" in err
+        assert "Traceback" not in err
+
+    def test_debug_switch_prints_the_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(row):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setattr(cli, "compute_fnf", broken)
+        monkeypatch.setenv("FNF_DEBUG", "1")
+        path = _write(tmp_path, "row.txt", "0 1")
+        assert run(["compute", path]) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal error: synthetic fault" in err
+        assert "Traceback (most recent call last)" in err
+        assert "in broken" in err and "RuntimeError: synthetic fault" in err
+
+    def test_writes_through_a_stdout_with_only_write_and_flush(
+            self, tmp_path, capsys, monkeypatch):
+        """perfbench's CLI child times the output through such a stand-in for ``sys``."""
+        class WriteOnly:
+            def __init__(self):
+                self.parts = []
+
+            def write(self, text):
+                if not isinstance(text, str):
+                    raise TypeError(f"write() argument must be str, not {type(text).__name__}")
+                self.parts.append(text)
+
+            def flush(self):
+                pass
+
+        class SysWithStdout:
+            def __init__(self, stdout):
+                self.stdout = stdout
+
+            def __getattr__(self, name):
+                return getattr(sys, name)
+
+        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
+        for fmt in ("json", "text"):
+            argv = ["compute", "--trace", "--format", fmt, path]
+            assert run(argv) == EXIT_OK
+            want = capsys.readouterr().out
+            stdout = WriteOnly()
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "sys", SysWithStdout(stdout))
+                assert run(argv) == EXIT_OK
+            assert "".join(stdout.parts) == want
+            assert capsys.readouterr().out == ""
 
 
 class TestVerifyCommand:

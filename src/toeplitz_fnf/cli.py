@@ -111,14 +111,14 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
     Entries with absolute value at most ``tolerance`` are snapped to exact
     zero before the row is built.
     """
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {source}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {source}: {exc}") from exc
     if not tolerance >= 0:  # also rejects NaN
         raise InputError(f"tolerance must be nonnegative, got {tolerance}")
     values = parse_input(text)
@@ -417,6 +417,8 @@ def run_bench(sizes: list[int], policy: str = "uniform", seed: int = 0,
         raise InputError(f"sizes must be at most {MAX_BENCH_SIZE}, got {sizes[-1]}")
     if reps < 1:
         raise InputError("reps must be at least 1")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     rows = []
     for n in sizes:

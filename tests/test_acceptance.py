@@ -24,6 +24,7 @@ from toeplitz_fnf import oracle
 from toeplitz_fnf.cli import run_bench, verify_row
 from toeplitz_fnf.reduction import ALPHA, BETA
 
+import reference
 from conftest import (random_alpha_instance, random_beta_instance, random_instance,
                       sweep_instances)
 
@@ -48,7 +49,7 @@ def _line(num, name, ok):
 def test_criterion_1_golden_decomposition():
     res = compute_fnf(row_from_offsets(31, GOLDEN_OFFSETS))
     ok = res.component_count == 4
-    ok = ok and oracle.partition_from_labels(res.cis.rho) == GOLDEN_PARTITION
+    ok = ok and reference.partition_from_labels(res.cis.rho) == GOLDEN_PARTITION
     sizes = [b.size for b in res.blocks]
     ok = ok and sizes == [16, 5, 5, 5]
     ok = ok and all(b.first_row.tolist() == SMALL_BLOCK_ROW for b in res.blocks[1:])
@@ -69,9 +70,9 @@ def test_criterion_2_weighted_seven_vertex_row():
     res = compute_fnf(row)
     got = {tuple(b.vertices.tolist()): b.first_row.tolist() for b in res.blocks}
     ok = got == {(1, 3, 5, 7): [0, 3, 8, 9], (2, 4, 6): [0, 3, 8]}
-    dense = oracle.dense_matrix(row.entries)
+    dense = reference.dense_matrix(row.entries)
     perm = res.permutation - 1
-    direct = oracle.block_diagonal(b.first_row for b in res.blocks)
+    direct = reference.block_diagonal(b.first_row for b in res.blocks)
     ok = ok and np.array_equal(dense[np.ix_(perm, perm)], direct)
     _line(2, "weighted 7-vertex row splits into exact blocks", ok)
 
@@ -83,11 +84,11 @@ def test_criterion_3_oracle_equivalence_sweep():
         row = row_from_offsets(n, offsets)
         res = compute_fnf(row)
         labels = oracle.toeplitz_component_labels(n, offsets)
-        if oracle.partition_from_labels(res.cis.rho) != oracle.partition_from_labels(labels):
+        if reference.partition_from_labels(res.cis.rho) != reference.partition_from_labels(labels):
             partition_fail += 1
-        dense = oracle.dense_matrix(row.entries)
+        dense = reference.dense_matrix(row.entries)
         perm = res.permutation - 1
-        direct = oracle.block_diagonal(b.first_row for b in res.blocks)
+        direct = reference.block_diagonal(b.first_row for b in res.blocks)
         if not np.array_equal(dense[np.ix_(perm, perm)], direct):
             reconstruction_fail += 1
     elapsed = time.perf_counter() - start
@@ -103,8 +104,8 @@ def test_criterion_4_reduction_property_suites():
         n, offsets = random_alpha_instance(rng)
         n2, s2, m = alpha_reduce(n, offsets)
         s0 = int(offsets[0])
-        g = oracle.build_graph(n, offsets)
-        h = oracle.build_graph(n2, s2)
+        g = reference.build_graph(n, offsets)
+        h = reference.build_graph(n2, s2)
         band = set(range(n - s0 + 1, s0 + 1))
         mapped = set()
         bad = len(band) != m
@@ -123,11 +124,11 @@ def test_criterion_4_reduction_property_suites():
         n, offsets = random_beta_instance(rng)
         d = reachability_divisor(n, offsets)
         n2, s2, d_fold = beta_reduce(n, offsets)
-        g = oracle.build_graph(n, offsets)
-        h = oracle.build_graph(n2, s2)
-        if d_fold != d or oracle.contract(g, d) != oracle.contract(h, d):
+        g = reference.build_graph(n, offsets)
+        h = reference.build_graph(n2, s2)
+        if d_fold != d or reference.contract(g, d) != reference.contract(h, d):
             fold_fail += 1
-        elif len(oracle.components_oracle(g)) != len(oracle.components_oracle(h)):
+        elif len(reference.components_oracle(g)) != len(reference.components_oracle(h)):
             fold_fail += 1
 
     reach_fail = 0
@@ -135,8 +136,8 @@ def test_criterion_4_reduction_property_suites():
         n, offsets = random_instance(rng, n_lo=2, n_hi=128)
         if offsets.size == 0:
             continue
-        g = oracle.build_graph(n, offsets)
-        if not all(oracle.is_d_reachable(g, int(s)) for s in offsets):
+        g = reference.build_graph(n, offsets)
+        if not all(reference.is_d_reachable(g, int(s)) for s in offsets):
             reach_fail += 1
     for _ in range(300):
         n = int(rng.integers(4, 64))
@@ -157,8 +158,8 @@ def test_criterion_4_reduction_property_suites():
                 if not dsu.connected(v - 1, v + step - 1):
                     edges.add((v, v + step))
                     dsu.union(v - 1, v + step - 1)
-        g = oracle.ExplicitGraph(n=n, edges=frozenset(edges))
-        if not oracle.is_d_reachable(g, gcd(s, t)):
+        g = reference.ExplicitGraph(n=n, edges=frozenset(edges))
+        if not reference.is_d_reachable(g, gcd(s, t)):
             reach_fail += 1
 
     cycle_fail = 0
@@ -166,7 +167,7 @@ def test_criterion_4_reduction_property_suites():
         for s in range(1, n):
             if 2 * s == n:
                 continue
-            if not oracle.cycle_structure_check(n, s):
+            if not reference.cycle_structure_check(n, s):
                 cycle_fail += 1
 
     ok = iso_fail == 0 and fold_fail == 0 and reach_fail == 0 and cycle_fail == 0
@@ -210,16 +211,16 @@ def test_criterion_6_nesting_at_desk_scale():
             continue
         checked += 1
         for first, second in zip(res.blocks, res.blocks[1:]):
-            if oracle.is_principal_submatrix(first.first_row, second.first_row,
-                                             cap=12) is not True:
+            if reference.is_principal_submatrix(first.first_row, second.first_row,
+                                                cap=12) is not True:
                 failures += 1
 
     res = compute_fnf(row_from_offsets(31, GOLDEN_OFFSETS))
     big, small = res.blocks[0], res.blocks[1]
-    witness_ok = oracle.witness_embeds(big.first_row, small.first_row, [0, 3, 6, 9, 12])
+    witness_ok = reference.witness_embeds(big.first_row, small.first_row, [0, 3, 6, 9, 12])
     for first, second in zip(res.blocks[1:], res.blocks[2:]):
-        if oracle.is_principal_submatrix(first.first_row, second.first_row,
-                                         cap=12) is not True:
+        if reference.is_principal_submatrix(first.first_row, second.first_row,
+                                            cap=12) is not True:
             failures += 1
 
     ok = checked == 200 and failures == 0 and witness_ok

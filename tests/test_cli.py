@@ -340,6 +340,17 @@ class TestComputeCommand:
         assert run(["compute", "/nonexistent/row.txt"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_input_error(self, tmp_path, capsys, monkeypatch):
+        import io
+        path = tmp_path / "row.txt"
+        path.write_bytes(b"0 1 \xff")
+        assert run(["compute", str(path)]) == EXIT_INPUT
+        assert "cannot read" in capsys.readouterr().err
+        strict = io.TextIOWrapper(io.BytesIO(b"0 1 \xff"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", strict)
+        assert run(["compute", "-"]) == EXIT_INPUT
+        assert "cannot read" in capsys.readouterr().err
+
     def test_stdin_input(self, monkeypatch, capsys):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("0 1"))
@@ -574,6 +585,12 @@ class TestBenchCommand:
     def test_run_bench_rejects_sizes_below_one(self):
         with pytest.raises(InputError):
             run_bench([0, 400], reps=1)
+
+    def test_seed_must_be_nonnegative(self, capsys):
+        assert run(["bench", "--sizes", "10", "--reps", "1", "--seed", "-1"]) == EXIT_INPUT
+        assert "seed" in capsys.readouterr().err
+        with pytest.raises(InputError):
+            run_bench([10], seed=-1, reps=1)
 
     def test_sizes_have_a_maximum(self, capsys, monkeypatch):
         # every case is refused before a row is built

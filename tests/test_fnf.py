@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from toeplitz_fnf import FirstRow, compute_fnf, row_from_offsets
 from toeplitz_fnf import oracle
 
+import reference
 from conftest import random_instance, sweep_instances
 
 
@@ -106,10 +107,10 @@ class TestComputeFnf:
                 entries[s] = rng.choice([1.0, 3.0, -0.5])
             row = FirstRow(entries)
             res = compute_fnf(row)
-            dense = oracle.dense_matrix(row.entries)
+            dense = reference.dense_matrix(row.entries)
             perm = res.permutation - 1
             permuted = dense[np.ix_(perm, perm)]
-            direct = oracle.block_diagonal(b.first_row for b in res.blocks)
+            direct = reference.block_diagonal(b.first_row for b in res.blocks)
             assert np.array_equal(permuted, direct)
 
     def test_blocks_are_connected(self):
@@ -143,8 +144,8 @@ class TestComputeFnf:
                 entries[s] = rng.choice([2.0, 7.0, -3.0])
             row = FirstRow(entries)
             res = compute_fnf(row)
-            dense = oracle.dense_matrix(row.entries)
-            direct = oracle.block_diagonal(b.first_row for b in res.blocks)
+            dense = reference.dense_matrix(row.entries)
+            direct = reference.block_diagonal(b.first_row for b in res.blocks)
             assert sorted(dense[dense != 0].tolist()) == sorted(direct[direct != 0].tolist())
 
     def test_canonical_nesting_small_instances(self):
@@ -153,7 +154,7 @@ class TestComputeFnf:
         for _ in range(200):
             n, offsets = random_instance(rng, n_lo=2, n_hi=12, k_max=6)
             res = compute_fnf(row_from_offsets(n, offsets))
-            verdict = oracle.nesting_check(res.blocks, cap=12)
+            verdict = reference.nesting_check(res.blocks, cap=12)
             assert verdict is True
             checked += 1
         assert checked == 200
@@ -196,7 +197,7 @@ def _assert_canonical_labels(n, offsets):
     """Block ``k`` is the oracle's ``k``-th component in canonical order and
     holds label ``k + 1``; both lemmas of the ordering proof hold."""
     res = compute_fnf(row_from_offsets(n, offsets))
-    parts = oracle.partition_from_labels(oracle.toeplitz_component_labels(n, offsets))
+    parts = reference.partition_from_labels(oracle.toeplitz_component_labels(n, offsets))
     canonical = sorted((sorted(p) for p in parts), key=lambda p: (-len(p), p[0]))
     blocks = res.blocks
     assert [b.vertices.tolist() for b in blocks] == canonical

@@ -15,6 +15,7 @@ from toeplitz_fnf import (
 )
 from toeplitz_fnf import oracle
 
+import reference
 from conftest import random_alpha_instance, random_beta_instance, random_instance
 
 
@@ -29,8 +30,8 @@ class TestReachabilityDivisor:
     def test_two_offsets_gcd(self):
         d = reachability_divisor(10, [4, 6])
         assert d == 2
-        g = oracle.build_graph(10, [4, 6])
-        assert oracle.is_d_reachable(g, d)
+        g = reference.build_graph(10, [4, 6])
+        assert reference.is_d_reachable(g, d)
 
     def test_empty_offsets_rejected(self):
         with pytest.raises(ValueError):
@@ -44,13 +45,13 @@ class TestReachabilityDivisor:
         rng = np.random.default_rng(11)
         for _ in range(500):
             n, offsets = random_beta_instance(rng)
-            assert reachability_divisor(n, offsets) == oracle.divisor_chain(n, offsets)[-1]
+            assert reachability_divisor(n, offsets) == reference.divisor_chain(n, offsets)[-1]
 
     def test_chain_monotone_and_divisible(self):
         rng = np.random.default_rng(12)
         for _ in range(500):
             n, offsets = random_beta_instance(rng)
-            chain = oracle.divisor_chain(n, offsets)
+            chain = reference.divisor_chain(n, offsets)
             for a, b in zip(chain, chain[1:]):
                 assert b <= a
                 assert a % b == 0
@@ -63,15 +64,15 @@ class TestReachabilityDivisor:
         # 1 with offsets left, and scans cut off at n - d
         s0 = 1 + first % (n // 2)
         offsets = sorted({s0, *(s0 + p % (n - s0) for p in picks)})
-        assert reachability_divisor(n, offsets) == oracle.divisor_chain(n, offsets)[-1]
+        assert reachability_divisor(n, offsets) == reference.divisor_chain(n, offsets)[-1]
 
     def test_result_is_reachable_step(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             n, offsets = random_beta_instance(rng, n_hi=128)
             d = reachability_divisor(n, offsets)
-            g = oracle.build_graph(n, offsets)
-            assert oracle.is_d_reachable(g, d)
+            g = reference.build_graph(n, offsets)
+            assert reference.is_d_reachable(g, d)
 
 
 class TestAlphaReduce:
@@ -82,14 +83,14 @@ class TestAlphaReduce:
     def test_single_far_offset(self):
         n2, s2, m = alpha_reduce(5, [3])
         assert (n2, list(s2), m) == (4, [2], 1)
-        before = len(oracle.components_oracle(oracle.build_graph(5, [3])))
-        after = len(oracle.components_oracle(oracle.build_graph(4, [2])))
+        before = len(reference.components_oracle(reference.build_graph(5, [3])))
+        after = len(reference.components_oracle(reference.build_graph(4, [2])))
         assert before - after == 1
 
     def test_three_vertices(self):
         n2, s2, m = alpha_reduce(3, [2])
         assert (n2, list(s2), m) == (2, [1], 1)
-        assert len(oracle.components_oracle(oracle.build_graph(3, [2]))) == 2
+        assert len(reference.components_oracle(reference.build_graph(3, [2]))) == 2
 
     def test_requires_large_min(self):
         with pytest.raises(ValueError):
@@ -102,8 +103,8 @@ class TestAlphaReduce:
         for _ in range(200):
             n, offsets = random_alpha_instance(rng, n_hi=128)
             n2, s2, m = alpha_reduce(n, offsets)
-            before = len(oracle.components_oracle(oracle.build_graph(n, offsets)))
-            after = len(oracle.components_oracle(oracle.build_graph(n2, s2)))
+            before = len(reference.components_oracle(reference.build_graph(n, offsets)))
+            after = len(reference.components_oracle(reference.build_graph(n2, s2)))
             assert before - after == m
 
     def test_explicit_relabeling_is_isomorphism(self):
@@ -112,8 +113,8 @@ class TestAlphaReduce:
             n, offsets = random_alpha_instance(rng, n_hi=96)
             n2, s2, m = alpha_reduce(n, offsets)
             s0 = int(offsets[0])
-            g = oracle.build_graph(n, offsets)
-            h = oracle.build_graph(n2, s2)
+            g = reference.build_graph(n, offsets)
+            h = reference.build_graph(n2, s2)
             band = set(range(n - s0 + 1, s0 + 1))
             assert len(band) == m
 
@@ -136,8 +137,8 @@ class TestBetaReduce:
     def test_exact_division_fold(self):
         n2, s2, d = beta_reduce(4, [2, 3])
         assert (n2, list(s2), d) == (2, [1], 2)
-        assert len(oracle.components_oracle(oracle.build_graph(4, [2, 3]))) == 1
-        assert len(oracle.components_oracle(oracle.build_graph(2, [1]))) == 1
+        assert len(reference.components_oracle(reference.build_graph(4, [2, 3]))) == 1
+        assert len(reference.components_oracle(reference.build_graph(2, [1]))) == 1
 
     def test_fold_to_single_vertex(self):
         n2, s2, d = beta_reduce(2, [1])
@@ -150,10 +151,10 @@ class TestBetaReduce:
             d = reachability_divisor(n, offsets)
             n2, s2, d_fold = beta_reduce(n, offsets)
             assert d_fold == d
-            g = oracle.build_graph(n, offsets)
-            h = oracle.build_graph(n2, s2)
-            assert oracle.contract(g, d) == oracle.contract(h, d)
-            assert len(oracle.components_oracle(g)) == len(oracle.components_oracle(h))
+            g = reference.build_graph(n, offsets)
+            h = reference.build_graph(n2, s2)
+            assert reference.contract(g, d) == reference.contract(h, d)
+            assert len(reference.components_oracle(g)) == len(reference.components_oracle(h))
 
 
 class TestReduce:
@@ -176,7 +177,7 @@ class TestReduce:
     def test_even_offsets_two_classes(self):
         trace, c = reduce(OffsetSet(7, [2, 4, 6]))
         assert c == 2
-        assert c == len(oracle.components_oracle(oracle.build_graph(7, [2, 4, 6])))
+        assert c == len(reference.components_oracle(reference.build_graph(7, [2, 4, 6])))
 
     def test_count_matches_oracle(self):
         rng = np.random.default_rng(41)

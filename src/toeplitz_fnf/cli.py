@@ -316,7 +316,7 @@ def verify_row(row: FirstRow, budget: int = DEFAULT_VERIFY_BUDGET) -> VerifyRepo
     if units > budget:
         raise InputError(f"{units} work units exceed the budget {budget}; use --budget {units}")
     result = compute_fnf(row)
-    labels = oracle.hook_and_jump_labels(n, offsets)
+    labels = oracle.toeplitz_component_labels(n, offsets)
     checks = [("partition_matches_oracle", bool(np.array_equal(result.cis.rho, labels)),
                f"{labels.max()} components"),
               ("reconstruction_exact", *_reconstruction_exact(row, result, labels, offsets))]
@@ -327,24 +327,9 @@ def verify_row(row: FirstRow, budget: int = DEFAULT_VERIFY_BUDGET) -> VerifyRepo
 # bench
 
 def _sample_distinct(rng: np.random.Generator, lo: int, hi: int, k: int) -> np.ndarray:
-    """``k`` distinct integers in ``[lo, hi]``, sorted."""
+    """``k`` distinct integers in ``[lo, hi]`` (all of them if fewer), sorted."""
     span = hi - lo + 1
-    k = min(k, span)
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    if span <= 4 * k:
-        return np.sort(rng.permutation(span)[:k]) + lo
-    chosen: list[int] = []
-    seen: set[int] = set()
-    while len(chosen) < k:
-        for x in rng.integers(lo, hi + 1, size=2 * (k - len(chosen))):
-            x = int(x)
-            if x not in seen:
-                seen.add(x)
-                chosen.append(x)
-                if len(chosen) == k:
-                    break
-    return np.sort(np.array(chosen, dtype=np.int64))
+    return np.sort(rng.choice(span, size=max(0, min(k, span)), replace=False)) + lo
 
 
 def generate_offsets(n: int, k: int, policy: str, rng: np.random.Generator) -> np.ndarray:
@@ -356,6 +341,8 @@ def generate_offsets(n: int, k: int, policy: str, rng: np.random.Generator) -> n
     so odd and even vertices form two components (``n >= 3``);
     ``singletons`` has no offsets, so every vertex is its own component.
     """
+    if policy not in BENCH_POLICIES:
+        raise InputError(f"unknown policy {policy!r}; expected one of {BENCH_POLICIES}")
     if n < 2 or policy == "singletons":
         return np.empty(0, dtype=np.int64)
     if policy == "uniform":
@@ -363,12 +350,10 @@ def generate_offsets(n: int, k: int, policy: str, rng: np.random.Generator) -> n
     if policy == "clustered":
         lo = max(1, (3 * n) // 4)
         return _sample_distinct(rng, lo, n - 1, k)
-    if policy == "two-class":
-        if n < 3:
-            return np.empty(0, dtype=np.int64)
-        halves = _sample_distinct(rng, 2, (n - 1) // 2, k - 1)
-        return 2 * np.concatenate(([1], halves))
-    raise InputError(f"unknown policy {policy!r}; expected one of {BENCH_POLICIES}")
+    if n < 3:  # two-class
+        return np.empty(0, dtype=np.int64)
+    halves = _sample_distinct(rng, 2, (n - 1) // 2, k - 1)
+    return 2 * np.concatenate(([1], halves))
 
 
 @dataclass
@@ -471,10 +456,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             size = float(tok)
         except ValueError as exc:
             raise InputError(f"invalid size {tok!r}") from exc
-        # is_integer() is False for inf and NaN, so int() cannot overflow
-        if not (size.is_integer() and 1 <= size <= MAX_BENCH_SIZE):
-            raise InputError(f"size {tok!r} must be a whole number from 1 to "
-                             f"{MAX_BENCH_SIZE}")
+        # is_integer() is False for inf and NaN, so int() cannot overflow;
+        # run_bench refuses whole numbers out of range
+        if not size.is_integer():
+            raise InputError(f"size {tok!r} must be a whole number")
         sizes.append(int(size))
     report = run_bench(sizes, policy=args.policy, seed=args.seed, reps=args.reps)
     sys.stdout.write(report.render())

@@ -124,15 +124,17 @@ def reachability_divisor(n: int, offsets: Iterable[int] | np.ndarray) -> int:
 
     Requires a nonempty offset set with ``2 * min(offsets) <= n``.
     """
-    return _divisor(n, _beta_input(n, offsets))
+    return _divisor(n, _checked(n, offsets, BETA))
 
 
-def _beta_input(n: int, offsets: Iterable[int] | np.ndarray) -> np.ndarray:
+def _checked(n: int, offsets: Iterable[int] | np.ndarray, kind: str) -> np.ndarray:
+    """The validated offsets, nonempty and with ``2 * min`` above ``n`` iff ``kind`` is alpha."""
     s_arr = OffsetSet(n, offsets).offsets
     if s_arr.size == 0:
         raise ValueError("offset set must be nonempty")
-    if 2 * s_arr[0] > n:
-        raise ValueError(f"need 2*min(offsets) <= n, got min={s_arr[0]} with n={n}")
+    if (2 * s_arr[0] > n) != (kind == ALPHA):
+        need = ">" if kind == ALPHA else "<="
+        raise ValueError(f"need 2*min(offsets) {need} n, got min={s_arr[0]} with n={n}")
     return s_arr
 
 
@@ -153,6 +155,22 @@ def _divisor(n: int, s_arr: np.ndarray) -> int:
     return d
 
 
+def _move(n: int, s_arr: np.ndarray) -> tuple[ReductionStep, np.ndarray]:
+    """The alpha or beta move for a nonempty offset array, and the offsets after it.
+
+    Alpha shifts every offset down by the band width.  Beta keeps the offsets
+    above ``n - d``, moved down by ``n - n_after``, plus ``d`` unless ``d | n``.
+    """
+    s0 = int(s_arr[0])
+    if 2 * s0 > n:
+        step = ReductionStep(ALPHA, n, s0)
+        return step, s_arr - step.c
+    step = ReductionStep(BETA, n, _divisor(n, s_arr))
+    d, n_after = step.d, step.n_after
+    survivors = s_arr[int(np.searchsorted(s_arr, n - d, side="right")):] - (n - n_after)
+    return step, survivors if n_after == d else np.unique(np.append(survivors, d))
+
+
 def alpha_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.ndarray, int]:
     """Drop the edge-free middle band of an instance with ``2 * min(S) > n``.
 
@@ -160,20 +178,8 @@ def alpha_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.n
     width (and the exact component loss), ``n' = n - m``, and every offset
     is shifted down by ``m``.
     """
-    s_arr = OffsetSet(n, offsets).offsets
-    if s_arr.size == 0:
-        raise ValueError("offset set must be nonempty")
-    if 2 * s_arr[0] <= n:
-        raise ValueError(f"need 2*min(offsets) > n, got min={s_arr[0]} with n={n}")
-    step = ReductionStep(ALPHA, n, int(s_arr[0]))
-    return step.n_after, s_arr - step.c, step.c
-
-
-def _beta_fold(step: ReductionStep, s_arr: np.ndarray) -> np.ndarray:
-    """Offsets above ``n - d`` moved down by ``n - n_after``, plus ``d`` unless ``d | n``."""
-    n, d, n_after = step.n_before, step.d, step.n_after
-    survivors = s_arr[int(np.searchsorted(s_arr, n - d, side="right")):] - (n - n_after)
-    return survivors if n_after == d else np.unique(np.append(survivors, d))
+    step, s_arr = _move(n, _checked(n, offsets, ALPHA))
+    return step.n_after, s_arr, step.c
 
 
 def beta_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.ndarray, int]:
@@ -185,9 +191,8 @@ def beta_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.nd
     ``d`` itself joins the set whenever ``d`` does not divide ``n``.  The
     component count of the associated graph is unchanged.
     """
-    s_arr = _beta_input(n, offsets)
-    step = ReductionStep(BETA, n, _divisor(n, s_arr))
-    return step.n_after, _beta_fold(step, s_arr), step.d
+    step, s_arr = _move(n, _checked(n, offsets, BETA))
+    return step.n_after, s_arr, step.d
 
 
 def reduce(offset_set: OffsetSet) -> tuple[ReductionTrace, int]:
@@ -202,13 +207,7 @@ def reduce(offset_set: OffsetSet) -> tuple[ReductionTrace, int]:
     steps: list[ReductionStep] = []
     n_i, s_arr = offset_set.n, offset_set.offsets
     while s_arr.size:
-        s0 = int(s_arr[0])
-        if 2 * s0 > n_i:
-            step = ReductionStep(ALPHA, n_i, s0)
-            s_arr = s_arr - step.c
-        else:
-            step = ReductionStep(BETA, n_i, _divisor(n_i, s_arr))
-            s_arr = _beta_fold(step, s_arr)
+        step, s_arr = _move(n_i, s_arr)
         steps.append(step)
         n_i = step.n_after
 

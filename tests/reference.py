@@ -1,11 +1,11 @@
 """Reference implementations the tests judge the pipeline by.
 
 They favour obviousness over speed on materialised vertex/edge data:
-union-find and breadth-first search for component partitions, direct pair
-scans for step-reachability, residue-class quotients, the plain gcd scan,
-cycle-structure checks, dense matrices and an exhaustive principal-submatrix
-search.  None shares code with the fast pipeline; the union-find is the
-library's :class:`toeplitz_fnf.oracle.DisjointSet`.
+union-find and breadth-first search for component partitions, union-find
+labels of the implicit offset graph, direct pair scans for step-reachability,
+residue-class quotients, the plain gcd scan, cycle-structure checks, dense
+matrices and an exhaustive principal-submatrix search.  None shares code with
+the fast pipeline or with the library's vectorised labeller.
 """
 
 from __future__ import annotations
@@ -17,7 +17,71 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from toeplitz_fnf.oracle import DisjointSet
+
+class DisjointSet:
+    """Union-find over ``0..n-1`` with path compression and union by size."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if self.size[rx] < self.size[ry]:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        self.size[rx] += self.size[ry]
+        return True
+
+    def connected(self, x: int, y: int) -> bool:
+        return self.find(x) == self.find(y)
+
+    def groups(self) -> list[list[int]]:
+        """Members per set, each sorted, ordered by smallest member."""
+        by_root: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            by_root.setdefault(self.find(x), []).append(x)
+        return sorted(by_root.values(), key=lambda g: g[0])
+
+
+def union_find_labels(n: int, offsets: Iterable[int]) -> list[int]:
+    """Component label per vertex of the implicit offset graph.
+
+    Union-find over the pairs ``(v, v + s)`` without materialising edges.
+    Labels are root-canonical: components are numbered 1, 2, ... in order of
+    their smallest vertex.
+    """
+    dsu = DisjointSet(n)
+    union = dsu.union
+    for s in offsets:
+        s = int(s)
+        if not (1 <= s <= n - 1):
+            raise ValueError(f"offset {s} out of range for {n} vertices")
+        for v in range(n - s):
+            union(v, v + s)
+    labels = [0] * n
+    next_label = 0
+    root_label: dict[int, int] = {}
+    for v in range(n):
+        r = dsu.find(v)
+        if r not in root_label:
+            next_label += 1
+            root_label[r] = next_label
+        labels[v] = root_label[r]
+    return labels
 
 
 @dataclass(frozen=True)

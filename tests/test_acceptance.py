@@ -20,7 +20,6 @@ from toeplitz_fnf import (
     reduce,
     row_from_offsets,
 )
-from toeplitz_fnf import oracle
 from toeplitz_fnf.cli import run_bench, verify_row
 from toeplitz_fnf.reduction import ALPHA, BETA
 
@@ -83,7 +82,7 @@ def test_criterion_3_oracle_equivalence_sweep():
     for n, offsets in sweep_instances():
         row = row_from_offsets(n, offsets)
         res = compute_fnf(row)
-        labels = oracle.toeplitz_component_labels(n, offsets)
+        labels = reference.union_find_labels(n, offsets)
         if reference.partition_from_labels(res.cis.rho) != reference.partition_from_labels(labels):
             partition_fail += 1
         dense = reference.dense_matrix(row.entries)
@@ -150,7 +149,7 @@ def test_criterion_4_reduction_property_suites():
             u = int(rng.integers(1, n))
             v = int(rng.integers(u + 1, n + 1))
             edges.add((u, v))
-        dsu = oracle.DisjointSet(n)
+        dsu = reference.DisjointSet(n)
         for u, v in edges:
             dsu.union(u - 1, v - 1)
         for step in (s, t):

@@ -13,6 +13,8 @@ import toeplitz_fnf.cli as cli
 import toeplitz_fnf.fnf as fnf
 from toeplitz_fnf import OffsetSet, compute_fnf, oracle, reduce, row_from_offsets
 
+import reference
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -32,7 +34,12 @@ def test_wrapped_names_exist():
 
 
 def test_read_names_exist():
-    assert callable(oracle.toeplitz_component_labels)
+    # the many-blocks set-up counts components as max() of these labels:
+    # smallest offset 3n/4, a few offsets above it
+    n, offsets = 2000, [1500, 1613, 1750, 1871, 1999]
+    labels = oracle.toeplitz_component_labels(n, offsets)
+    assert max(labels) == compute_fnf(row_from_offsets(n, offsets)).component_count
+    assert labels.tolist() == reference.union_find_labels(n, offsets)
     result = compute_fnf(row_from_offsets(7, [2, 4, 6]))
     assert result.component_count == 2
     assert isinstance(result.cis.rho, np.ndarray)

@@ -586,6 +586,13 @@ class TestBenchCommand:
         with pytest.raises(InputError):
             run_bench([0, 400], reps=1)
 
+    def test_unknown_policy_rejected_at_every_size(self):
+        # sizes below 2 draw no offsets, yet the policy is still checked
+        with pytest.raises(InputError, match="policy"):
+            run_bench([1], policy="bogus", reps=1)
+        with pytest.raises(InputError, match="policy"):
+            generate_offsets(1, 3, "bogus", np.random.default_rng(0))
+
     def test_seed_must_be_nonnegative(self, capsys):
         assert run(["bench", "--sizes", "10", "--reps", "1", "--seed", "-1"]) == EXIT_INPUT
         assert "seed" in capsys.readouterr().err

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toeplitz_fnf import FirstRow, compute_fnf, row_from_offsets
-from toeplitz_fnf import oracle
 
 import reference
 from conftest import random_instance, sweep_instances
@@ -119,7 +118,7 @@ class TestComputeFnf:
             n, offsets = random_instance(rng, n_hi=96)
             res = compute_fnf(row_from_offsets(n, offsets))
             for b in res.blocks:
-                labels = oracle.toeplitz_component_labels(b.size, b.offsets)
+                labels = reference.union_find_labels(b.size, b.offsets)
                 assert max(labels) == 1
 
     def test_blocks_are_toeplitz_consistent(self):
@@ -194,10 +193,10 @@ class TestComputeFnf:
 
 
 def _assert_canonical_labels(n, offsets):
-    """Block ``k`` is the oracle's ``k``-th component in canonical order and
+    """Block ``k`` is the union-find's ``k``-th component in canonical order and
     holds label ``k + 1``; both lemmas of the ordering proof hold."""
     res = compute_fnf(row_from_offsets(n, offsets))
-    parts = reference.partition_from_labels(oracle.toeplitz_component_labels(n, offsets))
+    parts = reference.partition_from_labels(reference.union_find_labels(n, offsets))
     canonical = sorted((sorted(p) for p in parts), key=lambda p: (-len(p), p[0]))
     blocks = res.blocks
     assert [b.vertices.tolist() for b in blocks] == canonical

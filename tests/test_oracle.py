@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toeplitz_fnf.oracle import DisjointSet, hook_and_jump_labels, toeplitz_component_labels
+from toeplitz_fnf.oracle import toeplitz_component_labels
 
 from reference import (
+    DisjointSet,
     ExplicitGraph,
     QuotientGraph,
     block_diagonal,
@@ -21,6 +22,7 @@ from reference import (
     is_principal_submatrix,
     nesting_check,
     partition_from_labels,
+    union_find_labels,
     witness_embeds,
 )
 from conftest import random_instance
@@ -77,13 +79,13 @@ class TestComponents:
             n, offsets = random_instance(rng, n_hi=96)
             g = build_graph(n, offsets)
             assert canonical_partition(components_oracle(g)) == \
-                partition_from_labels(toeplitz_component_labels(n, offsets))
+                partition_from_labels(union_find_labels(n, offsets))
 
 
 def _assert_hooked_labels_match(n, offsets):
-    """``hook_and_jump_labels`` must give the union-find's canonical labels."""
-    got = hook_and_jump_labels(n, offsets).tolist()
-    want = toeplitz_component_labels(n, offsets)
+    """``toeplitz_component_labels`` must give the union-find's canonical labels."""
+    got = toeplitz_component_labels(n, offsets).tolist()
+    want = union_find_labels(n, offsets)
     if got != want:
         i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
         pytest.fail(f"n={n} offsets={list(offsets)[:8]}: labels differ from vertex {i + 1}: "

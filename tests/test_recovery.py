@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from toeplitz_fnf import (ComponentIndexSequence, OffsetSet, compute_fnf, recover_cis, reduce,
                           row_from_offsets)
-from toeplitz_fnf import oracle
 from toeplitz_fnf.recovery import _unfold_groups, recover_blocks
 from toeplitz_fnf.reduction import ALPHA, BETA, ReductionStep, ReductionTrace
 
@@ -38,7 +37,7 @@ class TestRecoverCis:
         trace, _ = reduce(OffsetSet(7, [2, 4, 6]))
         cis = recover_cis(trace)
         expected = reference.partition_from_labels(
-            oracle.toeplitz_component_labels(7, [2, 4, 6]))
+            reference.union_find_labels(7, [2, 4, 6]))
         assert _labels_partition(cis) == expected
         assert _labels_partition(cis) == {frozenset({1, 3, 5, 7}), frozenset({2, 4, 6})}
 
@@ -49,7 +48,7 @@ class TestRecoverCis:
             trace, c = reduce(OffsetSet(n, offsets))
             cis = recover_cis(trace)
             assert cis.c == c
-            labels = oracle.toeplitz_component_labels(n, offsets)
+            labels = reference.union_find_labels(n, offsets)
             assert _labels_partition(cis) == reference.partition_from_labels(labels)
 
     def test_labels_cover_full_range(self):

@@ -13,7 +13,6 @@ from toeplitz_fnf import (
     reachability_divisor,
     reduce,
 )
-from toeplitz_fnf import oracle
 
 import reference
 from conftest import random_alpha_instance, random_beta_instance, random_instance
@@ -184,7 +183,7 @@ class TestReduce:
         for _ in range(400):
             n, offsets = random_instance(rng, n_hi=128)
             _, c = reduce(OffsetSet(n, offsets))
-            labels = oracle.toeplitz_component_labels(n, offsets)
+            labels = reference.union_find_labels(n, offsets)
             assert c == max(labels)
 
     def test_structural_invariants(self):
@@ -201,6 +200,16 @@ class TestReduce:
                     assert 3 * s.n_after < 2 * s.n_before
                 else:
                     assert s.n_after % 2 == 0
+            # the single moves, chosen by the 2*min > n rule, compose to the trace
+            n_i, s_i, replay = n, offsets, []
+            while len(s_i):
+                move = alpha_reduce if 2 * int(s_i[0]) > n_i else beta_reduce
+                n_after, s_i, width_or_d = move(n_i, s_i)
+                replay.append((n_i, ALPHA if move is alpha_reduce else BETA, width_or_d))
+                n_i = n_after
+            assert replay == [(s.n_before, s.kind, s.c if s.kind == ALPHA else s.d)
+                              for s in trace.steps]
+            assert n_i == trace.n_final
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -52,6 +53,9 @@ BENCH_POLICIES = ("uniform", "clustered", "two-class", "singletons")
 #: Largest size ``bench`` accepts: ten times the largest size of the scaling
 #: gates, and a row of 800 MB.
 MAX_BENCH_SIZE = 10**8
+#: Entries formatted, or input bytes read, per vectorised pass; it bounds the
+#: passes' temporaries.
+CHUNK = 1 << 16
 
 
 class InputError(ValueError):
@@ -61,62 +65,200 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # input parsing
 
-def parse_input(text: str) -> np.ndarray:
-    """Parse an input document into the raw first-row values.
+def parse_input(text: str | bytes) -> np.ndarray:
+    """Parse an input document, a ``str`` or UTF-8 bytes, into the raw first-row values.
 
     Two formats are auto-detected: a JSON object ``{"first_row": [...]}``
     with an optional ``"n"`` that must match the row length, or plain text
     whose whitespace-separated decimals form the row.  Text tokens are read
-    by the rules of ``float()``.
+    by the rules of ``float()``.  An ASCII document is read by
+    :func:`_read_ascii` where it can; the ``str`` reader judges the rest.
     """
+    values = None
+    if text.isascii():
+        values = _read_ascii(text if isinstance(text, bytes) else text.encode("ascii"))
+    if values is None:
+        values = _read_str(text if isinstance(text, str) else text.decode("utf-8"))
+    if not np.isfinite(values).all():
+        raise InputError("first row entries must be finite")
+    return values
+
+
+def _read_str(text: str) -> np.ndarray:
+    """The row of a document read from ``str`` objects, token by token."""
     stripped = text.lstrip()
     if not stripped:
         raise InputError("empty input")
-    if stripped[0] == "{":
+    if stripped[0] != "{":
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON input: {exc}") from exc
-        if not isinstance(doc, dict) or "first_row" not in doc:
-            raise InputError('JSON input must be an object with a "first_row" array')
-        raw = doc["first_row"]
-        if not isinstance(raw, list) or not raw:
-            raise InputError('"first_row" must be a nonempty array of numbers')
-        # bool is a subclass of int, so compare exact types
-        if not set(map(type, raw)) <= {float, int}:
-            raise InputError('"first_row" must contain only numbers')
-        try:
-            values = np.array(raw, dtype=np.float64)
-        except OverflowError as exc:
-            raise InputError(f'"first_row" entries must be finite: {exc}') from exc
-        if "n" in doc:
-            if type(doc["n"]) is not int:
-                raise InputError(f'declared order {doc["n"]!r} must be an integer')
-            if doc["n"] != values.size:
-                raise InputError(
-                    f'declared order {doc["n"]} does not match row length {values.size}')
-    else:
-        try:
-            values = np.array(text.split(), dtype=np.float64)
+            return np.array(text.split(), dtype=np.float64)
         except ValueError as exc:
             raise InputError(f"invalid numeric token: {exc}") from exc
-    if not np.isfinite(values).all():
-        raise InputError("first row entries must be finite")
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # also json's limit of 4300 digits on an integer
+        raise InputError(f"invalid JSON input: {exc}") from exc
+    if not isinstance(doc, dict) or "first_row" not in doc:
+        raise InputError('JSON input must be an object with a "first_row" array')
+    raw = doc["first_row"]
+    if not isinstance(raw, list) or not raw:
+        raise InputError('"first_row" must be a nonempty array of numbers')
+    # bool is a subclass of int, so compare exact types
+    if not set(map(type, raw)) <= {float, int}:
+        raise InputError('"first_row" must contain only numbers')
+    try:
+        values = np.array(raw, dtype=np.float64)
+    except OverflowError as exc:
+        raise InputError(f'"first_row" entries must be finite: {exc}') from exc
+    _check_order(doc, values.size)
+    return values
+
+
+def _check_order(doc: dict, size: int) -> None:
+    if "n" in doc:
+        if type(doc["n"]) is not int:
+            raise InputError(f'declared order {doc["n"]!r} must be an integer')
+        if doc["n"] != size:
+            raise InputError(f'declared order {doc["n"]} does not match row length {size}')
+
+
+#: str.split()'s ASCII separators: \t \n \v \f \r, \x1c-\x1f and space
+_SEPARATORS = rb"[\t-\r\x1c- ]"
+_LEADING_SPACE = re.compile(_SEPARATORS + rb"*")
+_SEPARATOR = re.compile(_SEPARATORS)
+
+
+def _read_ascii(data: bytes) -> np.ndarray | None:
+    """The row of an ASCII document, or None where :func:`_read_str` must judge it.
+
+    The tokens are found with byte masks, and a one-byte ``0`` token becomes
+    0.0 without a Python object.  A text document's separators are exactly
+    those of ``str.split()``.  A JSON document is checked through its frame:
+    the text up to its first ``[`` and from its last ``]``, which must parse
+    as an object whose ``"first_row"`` is ``[]``.  The frame holds no other
+    bracket, so that array is the row.  The row's bytes may hold only number
+    bytes (``0-9 + - . e E``), commas and JSON whitespace, and its tokens and
+    commas alternate.
+    """
+    at = _LEADING_SPACE.match(data).end()
+    if at == len(data):
+        return None
+    if data[at] != ord("{"):
+        def cut(pos: int) -> int:
+            found = _SEPARATOR.search(data, pos)
+            return found.end() if found else len(data)
+
+        def spaced(b, word, start, zero):  # separators and 0 tokens become spaces
+            return ((b - 32) * (word ^ zero) + 32).tobytes()  # the subtraction wraps back
+
+        # a separator is a byte in 9..13 or 28..32: the subtractions wrap below
+        return _scan(data, 0, len(data), cut, lambda b: ((b - 9) >= 5) & ((b - 28) >= 5),
+                     spaced, lambda texts: np.array(b"".join(texts).split(), dtype=np.float64))
+    lo, hi = data.find(b"["), data.rfind(b"]")
+    if not 0 <= lo < hi:
+        return None
+    frame = data[:lo + 1] + data[hi:]
+    try:
+        doc = json.loads(frame)
+    except ValueError:
+        return None
+    # the row holds only these bytes if deleting them leaves the same of the document
+    # as of its frame
+    row_bytes = b"0123456789+-.eE, \t\n\r"
+    if (not isinstance(doc, dict) or doc.get("first_row") != []
+            or data.translate(None, row_bytes) != frame.translate(None, row_bytes)):
+        return None
+    trailing = True  # whether the row so far is empty or ends with a comma
+
+    def cut(pos: int) -> int:  # just past a comma: the window after starts at a token
+        return data.find(b",", pos, hi) + 1 or hi
+
+    def commas_after(b, word, start, zero):
+        nonlocal trailing
+        if start.any() and not zero.any():  # json.loads checks these bytes itself
+            text = b.tobytes()
+            trailing = text.rstrip().endswith(b",")
+            return text
+        # the tokens and commas alternate, a token first: s_0 < c_0 < s_1 < c_1 < ...
+        starts, commas = np.flatnonzero(start), np.flatnonzero(b == ord(","))
+        if (not 0 <= starts.size - commas.size <= 1 or (starts[:commas.size] > commas).any()
+                or (commas[:starts.size - 1] > starts[1:]).any()):
+            return None
+        trailing = starts.size == commas.size
+        kept = word ^ zero
+        after = ~word  # the byte after each kept token becomes its comma, the rest spaces
+        after[1:] &= kept[:-1]
+        after[0] = False
+        fill = after * np.uint8(12) + np.uint8(32)
+        return ((b - fill) * kept + fill).tobytes()
+
+    def convert(texts: list[bytes]) -> np.ndarray:
+        # the comma of the last kept token, where 0 tokens followed it
+        texts[-1] = texts[-1].rstrip().removesuffix(b",")
+        return np.array(json.loads(b"".join([b"[", *texts, b"]"])), dtype=np.float64)
+    # of the bytes the row may hold, those above * but , are those of tokens
+    values = _scan(data, lo + 1, hi, cut, lambda b: (b > ord("*")) ^ (b == ord(",")),
+                   commas_after, convert)
+    if values is None or trailing:
+        return None
+    _check_order(doc, values.size)
+    return values
+
+
+def _scan(data: bytes, lo: int, hi: int, cut, mask, text, convert) -> np.ndarray | None:
+    """The values of the tokens of ``data[lo:hi]``, or None where ``text`` or ``convert`` refuses.
+
+    The bytes are scanned in windows of about ``CHUNK``, each ending at
+    ``cut(lo + CHUNK)``, past a byte that follows a token.  ``mask`` maps a
+    window's bytes ``b`` to a mask of its token bytes.  ``text(b, word,
+    start, zero)``, given also the masks of the tokens' first bytes and of
+    the ``0`` tokens, writes the other tokens of the window, or refuses it.
+    A ``0`` token is 0.0; ``convert`` reads the other tokens from the list of
+    the windows' texts, in one call.
+    """
+    count, rest, texts = 0, [], []
+    while lo < hi:
+        end = cut(lo + CHUNK) if lo + CHUNK < hi else hi
+        b = np.frombuffer(data, dtype=np.uint8, count=end - lo, offset=lo)
+        lo = end
+        word = mask(b)
+        start = word.copy()
+        start[1:] &= ~word[:-1]
+        zero = start & (b == ord("0"))
+        zero[:-1] &= ~word[1:]
+        window = text(b, word, start, zero)
+        if window is None:
+            return None
+        tokens, zeros = np.count_nonzero(start), np.count_nonzero(zero)
+        if zeros < tokens:
+            at = np.arange(tokens) if not zeros else np.flatnonzero(~zero[np.flatnonzero(start)])
+            rest.append(at + count)
+            texts.append(window)
+        count += tokens
+    values = np.zeros(count)
+    if texts:
+        try:
+            values[np.concatenate(rest)] = convert(texts)
+        except (ValueError, OverflowError):  # a token float() or json refuses, or beyond float64
+            return None
     return values
 
 
 def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
     """Read an input document from a path (or ``-`` for stdin) into a row.
 
-    Entries with absolute value at most ``tolerance`` are snapped to exact
-    zero before the row is built.
+    The input is read as bytes (stdin as text if it has no byte buffer), and
+    decoded as UTF-8 unless it is ASCII.  Entries with absolute value at most
+    ``tolerance`` are snapped to exact zero before the row is built.
     """
     try:
         if source == "-":
-            text = sys.stdin.read()
+            text = getattr(sys.stdin, "buffer", sys.stdin).read()
         else:
-            with open(source, "r", encoding="utf-8") as fh:
+            with open(source, "rb") as fh:
                 text = fh.read()
+        if isinstance(text, bytes) and not text.isascii():
+            text = text.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {source}: {exc}") from exc
     if not tolerance >= 0:  # also rejects NaN
@@ -129,9 +271,6 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
 
 # ---------------------------------------------------------------------------
 # output rendering
-
-#: Entries formatted per vectorised pass; it bounds the passes' index arrays.
-CHUNK = 1 << 16
 
 
 def _decimal(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:

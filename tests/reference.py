@@ -4,12 +4,14 @@ They favour obviousness over speed on materialised vertex/edge data:
 union-find and breadth-first search for component partitions, union-find
 labels of the implicit offset graph, direct pair scans for step-reachability,
 residue-class quotients, the plain gcd scan, cycle-structure checks, dense
-matrices and an exhaustive principal-submatrix search.  None shares code with
-the fast pipeline or with the library's vectorised labeller.
+matrices, an exhaustive principal-submatrix search, and the input reader that
+works on ``str`` objects token by token.  None shares code with the fast
+pipeline or with the library's vectorised labeller.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -326,3 +328,49 @@ def partition_from_labels(labels: Sequence[int] | np.ndarray) -> set[frozenset[i
         by_label.setdefault(int(lab), []).append(pos + 1)
     return canonical_partition(by_label.values())
 
+
+
+class InputRefused(ValueError):
+    """Raised by :func:`parse_input` where the CLI must exit with an input error."""
+
+
+def parse_input(text: str) -> np.ndarray:
+    """The first row of an input document, read from ``str`` objects token by token.
+
+    This is the reader the CLI had before its byte reader, with json's
+    ``ValueError`` for an integer of more than 4300 digits refused as input.
+    """
+    stripped = text.lstrip()
+    if not stripped:
+        raise InputRefused("empty input")
+    if stripped[0] == "{":
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise InputRefused(f"invalid JSON input: {exc}") from exc
+        if not isinstance(doc, dict) or "first_row" not in doc:
+            raise InputRefused('JSON input must be an object with a "first_row" array')
+        raw = doc["first_row"]
+        if not isinstance(raw, list) or not raw:
+            raise InputRefused('"first_row" must be a nonempty array of numbers')
+        # bool is a subclass of int, so compare exact types
+        if not set(map(type, raw)) <= {float, int}:
+            raise InputRefused('"first_row" must contain only numbers')
+        try:
+            values = np.array(raw, dtype=np.float64)
+        except OverflowError as exc:
+            raise InputRefused(f'"first_row" entries must be finite: {exc}') from exc
+        if "n" in doc:
+            if type(doc["n"]) is not int:
+                raise InputRefused(f'declared order {doc["n"]!r} must be an integer')
+            if doc["n"] != values.size:
+                raise InputRefused(
+                    f'declared order {doc["n"]} does not match row length {values.size}')
+    else:
+        try:
+            values = np.array(text.split(), dtype=np.float64)
+        except ValueError as exc:
+            raise InputRefused(f"invalid numeric token: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise InputRefused("first row entries must be finite")
+    return values

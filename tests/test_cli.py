@@ -7,7 +7,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from toeplitz_fnf import FirstRow, row_from_offsets
 from toeplitz_fnf import cli
 from toeplitz_fnf.cli import (
@@ -89,6 +91,194 @@ class TestParseInput:
                     '{"first_row": [0, 1%s]}' % ("0" * 400)):
             with pytest.raises(InputError):
                 parse_input(doc)
+
+
+class TestReaderContract:
+    """What the reader accepts and refuses, through ``parse_input`` and through a file."""
+
+    @staticmethod
+    def _compute(tmp_path, capsys, data: bytes, *flags):
+        path = tmp_path / "row.in"
+        path.write_bytes(data)
+        code = run(["compute", *flags, str(path)])
+        return code, capsys.readouterr()
+
+    def test_no_break_space_separates(self):
+        assert parse_input("0 1\u00a02 0").tolist() == [0.0, 1.0, 2.0, 0.0]
+
+    def test_information_separators_separate(self):
+        assert parse_input("\x1c0\x1d1\x1e2\x1f0").tolist() == [0.0, 1.0, 2.0, 0.0]
+        # str.lstrip() skips them too, so a document after them is read as JSON
+        with pytest.raises(InputError, match="invalid JSON input"):
+            parse_input('\x1c{"first_row": [0, 1]}')
+
+    def test_unicode_digits_follow_float(self):
+        assert parse_input("0 \u0661 \u0662.5").tolist() == [0.0, 1.0, 2.5]
+
+    def test_crlf_line_endings(self, tmp_path, capsys):
+        for data in (b"0 0\r\n1\r\n0\r\n", b'{"first_row": [0, 0,\r\n 1, 0]}\r\n'):
+            code, out = self._compute(tmp_path, capsys, data, "--format", "text")
+            assert code == EXIT_OK
+            assert "block 1 size=2 vertices=1,3 first_row=0,1" in out.out
+
+    def test_non_utf8_stdin_is_input_error_in_the_c_locale(self):
+        # there, stdin's text layer would pass the byte through as a surrogate
+        env = dict(os.environ, LC_ALL="C",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        env.pop("PYTHONUTF8", None)
+        env.pop("PYTHONIOENCODING", None)
+        done = subprocess.run([sys.executable, "-m", "toeplitz_fnf", "compute", "-"],
+                              input=b'{"first_row": [0, 1], "k\xff": 1}', capture_output=True,
+                              env=env)
+        assert done.returncode == EXIT_INPUT and b"cannot read -" in done.stderr
+
+    def test_byte_order_mark_is_input_error(self, tmp_path, capsys):
+        for data in (b"\xef\xbb\xbf0 1", b'\xef\xbb\xbf{"first_row": [0, 1]}'):
+            code, out = self._compute(tmp_path, capsys, data)
+            assert code == EXIT_INPUT and "error:" in out.err
+
+    def test_json_keys_are_read_as_json_reads_them(self):
+        # the last duplicate wins, other keys are ignored, and escapes name keys
+        assert parse_input('{"first_row": [1, 2], "first_row": [0, 3, 4]}').tolist() == [0, 3, 4]
+        assert parse_input('{"n": 5, "n": 2, "first_row": [0, 1]}').tolist() == [0, 1]
+        assert parse_input('{"first_row": [0, 1], "note": {"x": [1]}}').tolist() == [0, 1]
+        assert parse_input('{"first\\u005frow": [0, 1]}').tolist() == [0, 1]
+
+    @pytest.mark.parametrize("array", ["[]", "[ ]", "[,]", "[0,,1]", "[0 1]", "[01]", "[1.]",
+                                       "[.5]", "[+1]", "[1e]", "[-]"])
+    def test_malformed_arrays_are_input_errors(self, array, tmp_path, capsys):
+        code, out = self._compute(tmp_path, capsys, b'{"first_row": %s}' % array.encode())
+        assert code == EXIT_INPUT and "error:" in out.err
+
+    @pytest.mark.parametrize("doc", ['{"first_row": [0, 1%s]}', '{"n": 1%s, "first_row": [0]}'])
+    def test_json_integer_past_the_digit_limit_is_input_error(self, doc, tmp_path, capsys):
+        # json.loads refuses integers of more than 4300 digits with a plain ValueError
+        code, out = self._compute(tmp_path, capsys, (doc % ("0" * 4300)).encode())
+        assert code == EXIT_INPUT and "error:" in out.err
+
+    def test_negative_zero_writes_as_zero(self, tmp_path, capsys):
+        row = [0, 1, -0.0, 0, 1.5, -0.0, 0]
+        texts = {"0": " ".join(map(str, row)).replace("-0.0", "0"),
+                 "-0": " ".join(map(str, row)).replace("-0.0", "-0")}
+        for fmt in ("json", "text"):
+            outputs = set()
+            for text in texts.values():
+                document = '{"first_row": [%s]}' % text.replace(" ", ", ")
+                for data in (text.encode(), document.encode()):
+                    code, out = self._compute(tmp_path, capsys, data, "--format", fmt)
+                    assert code == EXIT_OK
+                    outputs.add(out.out)
+            assert len(outputs) == 1
+
+
+# Documents near the byte reader's edges: number bytes, commas, both sets of
+# whitespace, and the frames a "first_row" array sits in.
+_JSON_SPACE = " \t\n\r"
+_SPLIT_SPACE = " \t\n\v\f\r\x1c\x1d\x1e\x1f"
+_UNICODE_SPACE = "\x85\xa0\u2003\u3000"
+
+
+def _joined(tokens, separators):
+    """Tokens, at least one, with a separator drawn between each two."""
+    return st.builds(lambda ts, ss: "".join(t + s for t, s in zip(ts, ss)) + ts[-1],
+                     st.lists(tokens, min_size=1, max_size=8),
+                     st.lists(separators, min_size=7, max_size=7))
+
+
+_JSON_BODIES = st.one_of(
+    st.text("0123456789-+.eE,/" + _SPLIT_SPACE, max_size=30),
+    _joined(st.one_of(st.sampled_from(["0", "0", "0", "-0", "1", "0.5", "-2.5e3", "1E-2"]),
+                      st.text("0123456789-+.eE", max_size=4)),
+            st.builds(lambda a, comma, b: a + comma + b, st.text(_SPLIT_SPACE, max_size=1),
+                      st.sampled_from([",", ",", ",", "", ",,"]),
+                      st.text(_SPLIT_SPACE, max_size=1))))
+_JSON_FRAMES = st.sampled_from([
+    '{"first_row": [%s]}', '{"n": %%d, "first_row": [%s]}', '{"first_row": [%s], "n": %%d}',
+    '{"first_row": [1], "first_row": [%s]}', '{"first_row": [%s], "x": [1]}',
+    '{"first_row": 0, "x": [%s]}', '{"x": [%s], "first_row": []}',
+    '{"first_row": {"y": [%s]}}', '{"first_row": "[%s]"}',
+    '%%s{"first_row": [%s]}', '{"first_row": [%s]} %%s', '[%s]'])
+_TEXT_DOCUMENTS = st.one_of(
+    st.text("0123456789._+-einfx" + _SPLIT_SPACE + _UNICODE_SPACE, max_size=30),
+    _joined(st.one_of(st.sampled_from(["0", "0", "0", "-0", "1", "2.5", "1_000", "inf"]),
+                      st.text("0123456789._+-einfx", max_size=5)),
+            st.text(_SPLIT_SPACE + _UNICODE_SPACE, min_size=1, max_size=2)))
+
+
+@st.composite
+def _json_documents(draw):
+    frame = draw(_JSON_FRAMES) % draw(_JSON_BODIES)
+    if "%d" in frame:
+        return frame % draw(st.integers(0, 9))
+    if "%s" in frame:
+        return frame % draw(st.text(_JSON_SPACE + "\x1c,x", max_size=2))
+    return frame
+
+
+class TestReaderMatchesReference:
+    """The byte reader refuses exactly what the token-by-token reader refuses, and
+    otherwise reads the same row."""
+
+    @staticmethod
+    def _judge(doc: str) -> None:
+        try:
+            want = reference.parse_input(doc)
+        except reference.InputRefused:
+            want = None
+        for given_doc in (doc, doc.encode("utf-8")):
+            if want is None:
+                with pytest.raises(InputError):
+                    parse_input(given_doc)
+            else:
+                got = parse_input(given_doc)
+                assert got.dtype == np.float64 and np.array_equal(got, want), (doc, got, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_json_documents())
+    def test_json_documents(self, doc):
+        self._judge(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TEXT_DOCUMENTS)
+    def test_text_documents(self, doc):
+        self._judge(doc)
+
+    def test_every_ascii_byte_beside_tokens(self):
+        for c in map(chr, range(128)):
+            for doc in (f"1{c}0{c}2", f"{c}0 1{c}", f"0{c}", '{"first_row": [1,%s0%s, 2]}' % (c, c),
+                        '{"first_row": [1%s, 0%s]}' % (c, c), '{"first_row": [%s0]}' % c):
+                self._judge(doc)
+                try:
+                    reference.parse_input(doc)
+                except reference.InputRefused:
+                    continue
+                # what the reference reads, the byte reader reads itself
+                assert cli._read_ascii(doc.encode()) is not None, doc
+
+    def test_documents_across_windows(self):
+        """Rows of several windows, some with 0 tokens and some without, and faults at the edges."""
+        rng = np.random.default_rng(7)
+        quarter = cli.CHUNK // 2
+        share = np.repeat([0.0, 0.9, 0.0, 1.0], quarter)  # of 0 tokens, quarter by quarter
+        tokens = np.where(rng.random(share.size) < share, "0",
+                          rng.integers(1, 10**4, share.size).astype(str)).tolist()
+        for row in (tokens, tokens[:3 * quarter]):  # ending in 0 tokens, and in others
+            for sep in (" ", "\n", "\x1c", ", ", ",\r\n"):
+                text = sep.join(row)
+                self._judge('{"first_row": [%s]}' % text if "," in sep else text)
+            body = ", ".join(row)
+            self._judge('{"first_row": [%s, ]}' % body)
+            self._judge('{"first_row": [%s,%s]}' % (body, " " * cli.CHUNK))
+        # the first window is cut past the second comma of ",,", and only 0 tokens follow
+        m = (cli.CHUNK + 1) // 3
+        head = ", ".join(["7" * (cli.CHUNK + 2 - 3 * m)] + ["7"] * (m - 1))
+        assert len(head) == cli.CHUNK - 1
+        self._judge('{"first_row": [%s,, %s]}' % (head, ", ".join(["0"] * m)))
+        body, text = ", ".join(tokens), " ".join(tokens)
+        for at in (cli.CHUNK - 1, cli.CHUNK, len(body) // 2, len(body) - 2 * cli.CHUNK):
+            for fault in ("0 0", "0,,0", "1 2", ", ,", "01", "0x1"):
+                self._judge('{"first_row": [%s%s%s]}' % (body[:at], fault, body[at:]))
+                self._judge(text[:at] + fault + text[at:])
 
 
 class TestDocuments:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FirstRow, offsets_from_row
+# offsets_from_row is unused since reduce reads the row; perfbench/tracer.py wraps it by name
+from .core import FirstRow, offsets_from_row  # noqa: F401
 from .recovery import ComponentIndexSequence, recover_blocks, recover_cis
 from .reduction import ReductionTrace, reduce
 
@@ -134,11 +135,11 @@ class BlockViews(Sequence):
 def compute_fnf(row: FirstRow) -> FnfResult:
     """Full pipeline from a first row to its Frobenius normal form.
 
-    Runs offset extraction and the reduction loop, then replays the trace
+    Runs the reduction loop on the row, then replays the trace
     twice: once for the component labels and once for the vertices grouped
     into blocks.  Total work is linear in the order of the matrix.
     """
-    trace, _ = reduce(offsets_from_row(row))
+    trace, _ = reduce(row)
     cis = recover_cis(trace)
     permutation, bounds = recover_blocks(trace)
     return FnfResult(row=row, cis=cis, permutation=permutation, block_bounds=bounds,

@@ -20,17 +20,22 @@ work: an alpha step is always followed by a beta step, and each beta step
 shrinks the order by a factor below 2/3.  The recorded
 :class:`ReductionTrace` is all that is needed to label every vertex of the
 original instance afterwards.
+
+The first move may read a row in place: its offsets in increasing order
+until ``d`` is final (for beta: none past ``n - d``, none once ``d == 1``),
+then only those it keeps, from ``min(S)`` for alpha and above ``n - d`` for
+beta.  A row with ``a_1 != 0`` is read in one window of ``WINDOW`` positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import OffsetSet
+from .core import FirstRow, OffsetSet
 
 __all__ = [
     "ALPHA",
@@ -45,6 +50,10 @@ __all__ = [
 
 ALPHA = "alpha"
 BETA = "beta"
+#: positions in the first window a move reads; each next window is twice as wide
+WINDOW = 65_536
+#: ``between(lo, hi)``: the offsets ``lo <= s < hi``, increasing, for ``lo >= 1``
+Between = Callable[[int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ def reachability_divisor(n: int, offsets: Iterable[int] | np.ndarray) -> int:
 
     Requires a nonempty offset set with ``2 * min(offsets) <= n``.
     """
-    return _divisor(n, _checked(n, offsets, BETA))
+    return _divisor(n, _between(_checked(n, offsets, BETA)))
 
 
 def _checked(n: int, offsets: Iterable[int] | np.ndarray, kind: str) -> np.ndarray:
@@ -138,36 +147,54 @@ def _checked(n: int, offsets: Iterable[int] | np.ndarray, kind: str) -> np.ndarr
     return s_arr
 
 
-def _divisor(n: int, s_arr: np.ndarray) -> int:
-    d = int(s_arr[0])
-    pos = 1
-    while d > 1:
-        # Offsets usable under the current divisor; multiples of d leave it
-        # unchanged, so jump to the first non-multiple.  A smaller d only
-        # widens the usable range, so the scan never looks back.
-        usable = s_arr[pos:int(np.searchsorted(s_arr, n - d, side="right"))]
-        nonmultiple = np.flatnonzero(usable % d)
-        if nonmultiple.size == 0:
-            break
-        k = int(nonmultiple[0])
-        d = gcd(d, int(usable[k]))
-        pos += k + 1
+def _between(source: FirstRow | np.ndarray) -> Between:
+    """A row's nonzero entries past ``a_0``, or a strictly increasing array's values."""
+    if isinstance(source, FirstRow):
+        entries = source.entries
+        return lambda lo, hi: np.flatnonzero(entries[lo:hi] != 0.0) + lo
+    return lambda lo, hi: source[np.searchsorted(source, lo):np.searchsorted(source, hi)]
+
+
+def _divisor(n: int, between: Between) -> int:
+    """The step's ``d``: ``min(S)`` for alpha, the reachability divisor for beta; 0 if no offsets.
+
+    Offsets are read in windows that start ``WINDOW`` positions wide and double.
+    """
+    d, lo, width = 0, 1, WINDOW
+    while d != 1 and lo <= n - d:
+        hi = min(lo + width, n + 1 - d)
+        usable = between(lo, hi)
+        if not d and usable.size:
+            # for alpha (2 * d > n) no offset is usable, and the scan ends here
+            d = int(usable[0])
+            hi = min(hi, n + 1 - d)
+            usable = usable[1:np.searchsorted(usable, hi)]
+        # Multiples of d leave it unchanged, so jump to the first non-multiple
+        # and filter the rest of the window by the new d.  A smaller d only
+        # widens the usable range, which the next windows read.
+        while d > 1 and (nonmultiple := np.flatnonzero(usable % d)).size:
+            k = int(nonmultiple[0])
+            d = gcd(d, int(usable[k]))
+            usable = usable[k + 1:]
+        lo, width = hi, 2 * width
     return d
 
 
-def _move(n: int, s_arr: np.ndarray) -> tuple[ReductionStep, np.ndarray]:
-    """The alpha or beta move for a nonempty offset array, and the offsets after it.
+def _move(n: int, between: Between) -> tuple[ReductionStep, np.ndarray] | None:
+    """The alpha or beta move on the offsets, and the offsets after it; None if there are none.
 
     Alpha shifts every offset down by the band width.  Beta keeps the offsets
     above ``n - d``, moved down by ``n - n_after``, plus ``d`` unless ``d | n``.
     """
-    s0 = int(s_arr[0])
-    if 2 * s0 > n:
-        step = ReductionStep(ALPHA, n, s0)
-        return step, s_arr - step.c
-    step = ReductionStep(BETA, n, _divisor(n, s_arr))
-    d, n_after = step.d, step.n_after
-    survivors = s_arr[int(np.searchsorted(s_arr, n - d, side="right")):] - (n - n_after)
+    d = _divisor(n, between)
+    if not d:
+        return None
+    if 2 * d > n:
+        step = ReductionStep(ALPHA, n, d)
+        return step, between(d, n) - step.c
+    step = ReductionStep(BETA, n, d)
+    n_after = step.n_after
+    survivors = between(n - d + 1, n) - (n - n_after)
     return step, survivors if n_after == d else np.unique(np.append(survivors, d))
 
 
@@ -178,7 +205,7 @@ def alpha_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.n
     width (and the exact component loss), ``n' = n - m``, and every offset
     is shifted down by ``m``.
     """
-    step, s_arr = _move(n, _checked(n, offsets, ALPHA))
+    step, s_arr = _move(n, _between(_checked(n, offsets, ALPHA)))
     return step.n_after, s_arr, step.c
 
 
@@ -191,25 +218,27 @@ def beta_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.nd
     ``d`` itself joins the set whenever ``d`` does not divide ``n``.  The
     component count of the associated graph is unchanged.
     """
-    step, s_arr = _move(n, _checked(n, offsets, BETA))
+    step, s_arr = _move(n, _between(_checked(n, offsets, BETA)))
     return step.n_after, s_arr, step.d
 
 
-def reduce(offset_set: OffsetSet) -> tuple[ReductionTrace, int]:
+def reduce(source: OffsetSet | FirstRow) -> tuple[ReductionTrace, int]:
     """Run reductions until no offsets remain; return the trace and count.
 
     The returned count is the number of connected components of the
     associated graph, equivalently the number of diagonal blocks in the
     Frobenius normal form of any symmetric Toeplitz matrix with these
-    nonzero offsets.  The offsets were checked when ``offset_set`` was
-    built, and every move keeps them strictly increasing in ``[1, n-1]``.
+    nonzero offsets.  ``source`` is an :class:`OffsetSet`, or a :class:`FirstRow`
+    (offsets: its nonzero entries past ``a_0``) read in place where the first move
+    needs it; both give the same result.  The offsets were checked when ``source``
+    was built, and every move keeps them strictly increasing in ``[1, n-1]``.
     """
     steps: list[ReductionStep] = []
-    n_i, s_arr = offset_set.n, offset_set.offsets
-    while s_arr.size:
-        step, s_arr = _move(n_i, s_arr)
+    n_i, between = source.n, _between(source if isinstance(source, FirstRow) else source.offsets)
+    while moved := _move(n_i, between):
+        step, s_arr = moved
         steps.append(step)
-        n_i = step.n_after
+        n_i, between = step.n_after, _between(s_arr)
 
     trace = ReductionTrace(tuple(steps), n_i)
     return trace, trace.component_count

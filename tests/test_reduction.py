@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toeplitz_fnf.reduction as reduction
 from toeplitz_fnf import (
     ALPHA,
     BETA,
+    FirstRow,
     OffsetSet,
     ReductionStep,
     ReductionTrace,
     alpha_reduce,
     beta_reduce,
+    offsets_from_row,
     reachability_divisor,
     reduce,
 )
@@ -218,6 +223,131 @@ class TestReduce:
             OffsetSet(5, [0, 2])
         with pytest.raises(ValueError):
             OffsetSet(5, [2, 2])
+
+
+W = reduction.WINDOW
+
+
+def _row(n: int, offsets, a0: float = 0.0) -> FirstRow:
+    entries = np.zeros(n)
+    entries[0] = a0
+    entries[list(offsets)] = 1.0
+    return FirstRow(entries)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows of order up to 400 whose offsets are mostly multiples of one step.
+
+    A shared step makes the divisor fall in several stages, at positions
+    that land on every window edge when ``WINDOW`` is 1, 2 or 3.
+    """
+    n = draw(st.integers(1, 400))
+    step = draw(st.integers(1, 60))
+    picks = draw(st.lists(st.integers(1, 400), max_size=10))
+    extra = draw(st.lists(st.integers(1, 400), max_size=2))
+    entries = np.zeros(n)
+    entries[0] = draw(st.sampled_from([0.0, 2.0]))
+    for s in sorted({step * p for p in picks} | set(extra)):
+        if s < n:
+            # -0.0 is a zero, 5e-324 (subnormal) is not
+            entries[s] = draw(st.sampled_from([1.0, -3.5, 5e-324, -0.0]))
+    return FirstRow(entries)
+
+
+class TestReduceFromRow:
+    """``reduce(row)`` reads the row in windows and equals ``reduce(offsets_from_row(row))``."""
+
+    @staticmethod
+    def assert_matches_offsets(row: FirstRow) -> None:
+        offset_set = offsets_from_row(row)
+        expected = reduce(offset_set)
+        for window in (1, 2, 3, W):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reduction, "WINDOW", window)
+                assert reduce(row) == reduce(offset_set) == expected, f"WINDOW={window}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=sparse_rows())
+    def test_matches_offset_set(self, row):
+        self.assert_matches_offsets(row)
+
+    @pytest.mark.parametrize("n, offsets", [
+        (1, []),                                        # all zero, n = 1
+        (2, []),                                        # all zero, n = 2
+        (2, [1]),                                       # s0 = n - 1 with a beta step
+        (9, [8]),                                       # s0 = n - 1 with an alpha step
+        (3 * W, [3 * W - 1]),                           # s0 = n - 1 past two windows
+        (3 * W, []),                                    # all zero past several windows
+        (3 * W, [W + 4, 2 * W + 8, 2 * W + 10]),        # first nonzero past the first window
+        (3 * W, [2 * W - 2, 2 * W + 5, 3 * W - 2]),     # alpha first step past a window
+        (4 * W, [6, W, W + 1]),                         # d: 6 -> 2 at a window's end -> 1 next
+        (4 * W, [6, W - 1, W + 1, 4 * W - 5]),          # d: 6 -> 3 inside, -> 1 at next start
+        (3 * W + 1, [40000, 100000, 170000, 190000]),  # n - d grows past s0's bound; 190000 kept
+        (W + 4, [3, W + 1]),                            # the offset n - d opens a window
+        (12, [3, 10]),                                  # n + 1 - d ends a window, unread
+        (10**5, [40000, 62000]),                        # 62000 > n - s0 shares s0's window
+        (10**5, [40000, 50000, 62000]),                 # ... and is read once d falls
+    ])
+    def test_edge_rows(self, n, offsets):
+        for a0 in (0.0, 1.0):
+            self.assert_matches_offsets(_row(n, offsets, a0))
+
+    def test_row_with_a1_is_read_in_one_window(self, monkeypatch):
+        read = []
+        between = reduction._between
+
+        def counted(source):
+            inner = between(source)
+            if not isinstance(source, FirstRow):
+                return inner
+
+            def reads(lo, hi):
+                read.append(max(0, min(hi, source.n) - lo))
+                return inner(lo, hi)
+            return reads
+        monkeypatch.setattr(reduction, "_between", counted)
+        rng = np.random.default_rng(7)
+        entries = np.where(rng.random(10 * W) < 0.5, 0.0, 1.0)
+        entries[1] = 1.0
+        trace, c = reduce(FirstRow(entries))
+        assert c == 1 and [(s.kind, s.d) for s in trace.steps] == [(BETA, 1)]
+        assert sum(read) <= W
+
+    def test_divisor_scan_calls_gcd_once_per_change_of_d(self, monkeypatch):
+        # each call to gcd at least halves d, so a beta move from s0 makes at
+        # most floor(log2 s0) calls; a Python loop per offset would make one
+        # for every offset the scan reads
+        calls = []
+        monkeypatch.setattr(reduction, "gcd", lambda a, b: calls.append(1) or math.gcd(a, b))
+        move = reduction._move
+
+        def counted(n, between):
+            s0 = between(1, n)[:1]
+            before = len(calls)
+            moved = move(n, between)
+            if moved and moved[0].kind == BETA:
+                assert len(calls) - before <= math.floor(math.log2(s0[0])) + 1
+            return moved
+        monkeypatch.setattr(reduction, "_move", counted)
+
+        n = 8 * W
+        positions = np.arange(n // 2, n)
+        rows = [_row(n, [6, *positions[positions % 6 == 3]])]
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            size = int(rng.integers(2, 5000))
+            step = int(rng.integers(1, 50))
+            offsets = step * rng.integers(1, size // step + 1, size=40)
+            rows.append(_row(size, np.unique(offsets[offsets < size])))
+        for row in rows:
+            for window in (1, 2, 3, W):
+                monkeypatch.setattr(reduction, "WINDOW", window)
+                expected = reduce(offsets_from_row(row))
+                calls.clear()
+                assert reduce(row) == expected
+                if row is rows[0]:
+                    assert len(calls) == 1  # d: 6 -> 3, then only multiples of 3
 
 
 class TestStepAndTraceInvariants:

@@ -239,8 +239,8 @@ def _row(n: int, offsets, a0: float = 0.0) -> FirstRow:
 def sparse_rows(draw):
     """Rows of order up to 400 whose offsets are mostly multiples of one step.
 
-    A shared step makes the divisor fall in several stages, at positions
-    that land on every window edge when ``WINDOW`` is 1, 2 or 3.
+    A shared step makes the divisor fall in stages; with ``WINDOW`` at 1, 2
+    or 3 the windows are small, so those falls land near many window edges.
     """
     n = draw(st.integers(1, 400))
     step = draw(st.integers(1, 60))

@@ -266,7 +266,7 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
     values = parse_input(text)
     if tolerance > 0:
         values[np.abs(values) <= tolerance] = 0.0
-    return FirstRow(values)
+    return FirstRow(values, _adopt=True)  # parse_input made it and checked it finite
 
 
 # ---------------------------------------------------------------------------

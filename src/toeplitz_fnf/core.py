@@ -33,19 +33,23 @@ class FirstRow:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Sequence[float] | np.ndarray) -> None:
-        arr = np.array(entries, dtype=np.float64)
+    def __init__(self, entries: Sequence[float] | np.ndarray, *, _adopt: bool = False) -> None:
+        # _adopt: ``entries`` is a float64 array its caller made for this row
+        # and checked finite (the CLI's parsed row), so the row holds it
+        # without a copy or a second finiteness test
+        arr = entries if _adopt else np.array(entries, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"first row must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("first row must contain at least one entry")
-        # a finite sum of squares proves every entry finite without a
-        # temporary; the elementwise test runs only when it is not (a
-        # non-finite entry, or an entry so large its square overflows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            squares_finite = np.isfinite(arr @ arr)
-        if not (squares_finite or np.isfinite(arr).all()):
-            raise ValueError("first row entries must be finite")
+        if not _adopt:
+            # a finite sum of squares proves every entry finite without a
+            # temporary; the elementwise test runs only when it is not (a
+            # non-finite entry, or an entry so large its square overflows)
+            with np.errstate(over="ignore", invalid="ignore"):
+                squares_finite = np.isfinite(arr @ arr)
+            if not (squares_finite or np.isfinite(arr).all()):
+                raise ValueError("first row entries must be finite")
         arr.setflags(write=False)
         self.entries = arr
 

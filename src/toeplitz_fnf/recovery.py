@@ -49,8 +49,16 @@ come last, just as fresh labels are the largest, so group ``L`` is label
 ``L + 1`` throughout.  A beta undo loops over the groups when ``c <= K``
 and over ``k < K`` otherwise.  Every group has a position below ``d``, so
 ``c <= d``, and ``Kd <= n``; each undo therefore runs at most
-``min(c, K) <= sqrt(n)`` Python iterations around vectorised work
-proportional to ``n``.
+``min(c, K) <= sqrt(n)`` Python iterations, plus ``O(log K)`` doubling
+copies, around vectorised work proportional to ``n``.
+
+The replay holds each position above plus one (``Q_L`` is the part of a
+group at most ``d``), so its result is the 1-based permutation with no
+final pass, and no step allocates an ``n``-sized array besides its output.
+Looping over the groups, it fills the first group's ``K`` rows by doubling
+copies; that group's first column then holds the row offsets
+``Q_0[0] + kd``, to which every other group adds its ``Q_L - Q_0[0]``.
+With one component the labels are a constant, read-only view.
 """
 
 from __future__ import annotations
@@ -117,9 +125,19 @@ def _extend_periodic(out: np.ndarray, start: int, d: int) -> None:
 
 
 def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
-    """Rebuild the component labelling of the original instance from a trace."""
-    n = trace.n_initial
-    dtype = _index_dtype(max(n, trace.component_count))
+    """Rebuild the component labelling of the original instance from a trace.
+
+    With one component ``rho`` is a read-only stride-0 view of a single ``1``.
+    """
+    n, c = trace.n_initial, trace.component_count
+    dtype = _index_dtype(max(n, c))
+    # the replay labels every vertex and uses each label in [1, c], so the
+    # constructor's full-vector checks are skipped
+    cis = ComponentIndexSequence.__new__(ComponentIndexSequence)
+    cis.n, cis.c = n, c
+    if c == 1:
+        cis.rho = np.broadcast_to(dtype(1), n)  # read-only; no n-sized write
+        return cis
     rho = np.arange(1, trace.n_final + 1, dtype=dtype)
     fresh = trace.n_final
 
@@ -137,11 +155,8 @@ def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
             _extend_periodic(out, step.n_after, step.d)
         rho = out
 
-    # the replay labels every vertex and uses each label in [1, c], so the
-    # constructor's full-vector checks are skipped
     rho.setflags(write=False)
-    cis = ComponentIndexSequence.__new__(ComponentIndexSequence)
-    cis.n, cis.c, cis.rho = n, trace.component_count, rho
+    cis.rho = rho
     return cis
 
 
@@ -157,7 +172,7 @@ def recover_blocks(trace: ReductionTrace) -> tuple[np.ndarray, np.ndarray]:
     dtype = _index_dtype(max(n, c))
     if c == 1:
         return np.arange(1, n + 1, dtype=dtype), np.array([0, n], dtype=np.int64)
-    perm = np.arange(trace.n_final, dtype=dtype)
+    perm = np.arange(1, trace.n_final + 1, dtype=dtype)
     bounds = np.arange(trace.n_final + 1, dtype=np.int64)
 
     for step in reversed(trace.steps):
@@ -169,26 +184,24 @@ def recover_blocks(trace: ReductionTrace) -> tuple[np.ndarray, np.ndarray]:
             out = np.empty(step.n_before, dtype=dtype)
             old = out[:step.n_after]
             old[:] = perm
-            np.add(old, width, out=old, where=old >= half)
-            out[step.n_after:] = np.arange(half, half + width, dtype=dtype)
+            np.add(old, width, out=old, where=old > half)
+            out[step.n_after:] = np.arange(half + 1, half + width + 1, dtype=dtype)
             perm = out
             bounds = np.concatenate((bounds, bounds[-1] + np.arange(1, width + 1)))
         else:
             perm, bounds = _unfold_groups(perm, bounds, step.n_before, step.d, dtype)
-
-    perm += 1
     return perm, bounds
 
 
 def _unfold_groups(perm: np.ndarray, bounds: np.ndarray, n: int, d: int,
                    dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """Undo a beta fold of order ``n`` and period ``d`` on the groups.
+    """Undo a beta fold of order ``n`` and period ``d`` on the groups of 1-based positions.
 
     Group ``L`` becomes ``Q_L + kd`` for ``k < K``, then the part of ``Q_L``
-    below ``r``, shifted by ``Kd`` (see the module docstring).
+    up to ``r``, shifted by ``Kd`` (see the module docstring).
     """
     K = n // d
-    low = perm < d
+    low = perm <= d
     # Q_L for every group, concatenated in group order
     q = perm[low]
     low_end = np.concatenate(([0], np.cumsum(low)))[bounds]
@@ -198,20 +211,32 @@ def _unfold_groups(perm: np.ndarray, bounds: np.ndarray, n: int, d: int,
     out = np.empty(n, dtype=dtype)
     c = m.size
     if c <= K:
-        rows = np.arange(0, K * d, d, dtype=dtype)[:, None]
+        # the first group, row k = Q_0 + kd, by doubling copies; its first
+        # column Q_0[0] + kd then offsets every other group's rows
+        first = out[:K * m[0]].reshape(K, m[0])
+        first[0] = q[:m[0]]
+        filled = 1
+        while filled < K:
+            chunk = min(filled, K - filled)
+            np.add(first[:chunk], filled * d, out=first[filled:filled + chunk])
+            filled += chunk
+        column = first[:, :1]
+        base = int(q[0])
+        q -= base
         for lo, hi, q_lo, q_hi, t in zip(new_bounds[:-1].tolist(), new_bounds[1:].tolist(),
                                          low_end[:-1].tolist(), low_end[1:].tolist(),
                                          tail.tolist()):
             group = q[q_lo:q_hi]
             mid = hi - t
-            np.add(rows, group, out=out[lo:mid].reshape(K, q_hi - q_lo))
-            np.add(group[:t], K * d, out=out[mid:hi])
+            if lo:
+                np.add(column, group, out=out[lo:mid].reshape(K, q_hi - q_lo))
+            np.add(group[:t], base + K * d, out=out[mid:hi])
     else:
         # destination of each low position in row k: its group's start,
         # plus its rank in Q_L, plus k times |Q_L|
         where = np.repeat(new_bounds[:-1] - low_end[:-1], m) + np.arange(d)
         stride = np.repeat(m, m)
-        last = q < n - K * d
+        last = q <= n - K * d
         for _ in range(K):
             out[where] = q
             where += stride

@@ -24,11 +24,15 @@ original instance afterwards.
 The first move may read a row in place: its offsets in increasing order
 until ``d`` is final (for beta: none past ``n - d``, none once ``d == 1``),
 then only those it keeps, from ``min(S)`` for alpha and above ``n - d`` for
-beta.  A row with ``a_1 != 0`` is read in one window of ``WINDOW`` positions.
+beta.  A row is read in windows from ``WINDOW`` positions wide, so one with
+``a_1 != 0`` is read in one window.  An offset array is searched in one
+unbounded window, and again only where a smaller ``d`` makes more offsets
+usable.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable
@@ -50,7 +54,7 @@ __all__ = [
 
 ALPHA = "alpha"
 BETA = "beta"
-#: positions in the first window a move reads; each next window is twice as wide
+#: positions in the first window a move reads of a row; each next window is twice as wide
 WINDOW = 65_536
 #: ``between(lo, hi)``: the offsets ``lo <= s < hi``, increasing, for ``lo >= 1``
 Between = Callable[[int, int], np.ndarray]
@@ -133,7 +137,7 @@ def reachability_divisor(n: int, offsets: Iterable[int] | np.ndarray) -> int:
 
     Requires a nonempty offset set with ``2 * min(offsets) <= n``.
     """
-    return _divisor(n, _between(_checked(n, offsets, BETA)))
+    return _divisor(n, *_between(_checked(n, offsets, BETA)))
 
 
 def _checked(n: int, offsets: Iterable[int] | np.ndarray, kind: str) -> np.ndarray:
@@ -147,20 +151,26 @@ def _checked(n: int, offsets: Iterable[int] | np.ndarray, kind: str) -> np.ndarr
     return s_arr
 
 
-def _between(source: FirstRow | np.ndarray) -> Between:
-    """A row's nonzero entries past ``a_0``, or a strictly increasing array's values."""
+def _between(source: FirstRow | np.ndarray) -> tuple[Between, int]:
+    """A row's nonzero entries past ``a_0``, or a strictly increasing array's values,
+    and the width of the first window to read them in.
+
+    A row is scanned, so it is read from ``WINDOW`` positions on; an array is
+    searched, so its first window is unbounded and reads every usable offset.
+    """
     if isinstance(source, FirstRow):
         entries = source.entries
-        return lambda lo, hi: np.flatnonzero(entries[lo:hi] != 0.0) + lo
-    return lambda lo, hi: source[np.searchsorted(source, lo):np.searchsorted(source, hi)]
+        return lambda lo, hi: np.flatnonzero(entries[lo:hi] != 0.0) + lo, WINDOW
+    return (lambda lo, hi: source[source.searchsorted(lo):source.searchsorted(hi)],
+            sys.maxsize)
 
 
-def _divisor(n: int, between: Between) -> int:
+def _divisor(n: int, between: Between, width: int) -> int:
     """The step's ``d``: ``min(S)`` for alpha, the reachability divisor for beta; 0 if no offsets.
 
-    Offsets are read in windows that start ``WINDOW`` positions wide and double.
+    Offsets are read in windows that start ``width`` positions wide and double.
     """
-    d, lo, width = 0, 1, WINDOW
+    d, lo = 0, 1
     while d != 1 and lo <= n - d:
         hi = min(lo + width, n + 1 - d)
         usable = between(lo, hi)
@@ -168,7 +178,7 @@ def _divisor(n: int, between: Between) -> int:
             # for alpha (2 * d > n) no offset is usable, and the scan ends here
             d = int(usable[0])
             hi = min(hi, n + 1 - d)
-            usable = usable[1:np.searchsorted(usable, hi)]
+            usable = usable[1:usable.searchsorted(hi)]
         # Multiples of d leave it unchanged, so jump to the first non-multiple
         # and filter the rest of the window by the new d.  A smaller d only
         # widens the usable range, which the next windows read.
@@ -180,13 +190,13 @@ def _divisor(n: int, between: Between) -> int:
     return d
 
 
-def _move(n: int, between: Between) -> tuple[ReductionStep, np.ndarray] | None:
+def _move(n: int, between: Between, width: int) -> tuple[ReductionStep, np.ndarray] | None:
     """The alpha or beta move on the offsets, and the offsets after it; None if there are none.
 
     Alpha shifts every offset down by the band width.  Beta keeps the offsets
     above ``n - d``, moved down by ``n - n_after``, plus ``d`` unless ``d | n``.
     """
-    d = _divisor(n, between)
+    d = _divisor(n, between, width)
     if not d:
         return None
     if 2 * d > n:
@@ -205,7 +215,7 @@ def alpha_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.n
     width (and the exact component loss), ``n' = n - m``, and every offset
     is shifted down by ``m``.
     """
-    step, s_arr = _move(n, _between(_checked(n, offsets, ALPHA)))
+    step, s_arr = _move(n, *_between(_checked(n, offsets, ALPHA)))
     return step.n_after, s_arr, step.c
 
 
@@ -218,7 +228,7 @@ def beta_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.nd
     ``d`` itself joins the set whenever ``d`` does not divide ``n``.  The
     component count of the associated graph is unchanged.
     """
-    step, s_arr = _move(n, _between(_checked(n, offsets, BETA)))
+    step, s_arr = _move(n, *_between(_checked(n, offsets, BETA)))
     return step.n_after, s_arr, step.d
 
 
@@ -234,11 +244,11 @@ def reduce(source: OffsetSet | FirstRow) -> tuple[ReductionTrace, int]:
     was built, and every move keeps them strictly increasing in ``[1, n-1]``.
     """
     steps: list[ReductionStep] = []
-    n_i, between = source.n, _between(source if isinstance(source, FirstRow) else source.offsets)
-    while moved := _move(n_i, between):
+    n_i, reader = source.n, _between(source if isinstance(source, FirstRow) else source.offsets)
+    while moved := _move(n_i, *reader):
         step, s_arr = moved
         steps.append(step)
-        n_i, between = step.n_after, _between(s_arr)
+        n_i, reader = step.n_after, _between(s_arr)
 
     trace = ReductionTrace(tuple(steps), n_i)
     return trace, trace.component_count

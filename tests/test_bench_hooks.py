@@ -33,6 +33,24 @@ def test_wrapped_names_exist():
     assert missing == []
 
 
+def test_cli_runs_with_its_names_wrapped(tmp_path, capsys):
+    # a traced child replaces each wrapped name by a plain function, so the
+    # CLI may only call those names, never read their attributes
+    module = _load_tracer()
+    tracer = module.Tracer()
+    path = tmp_path / "row.txt"
+    path.write_text("0 0 1.5 0 2 0 0")
+    tracer.patch(cli, module.CLI_WRAPS)
+    tracer.patch(fnf, module.FNF_WRAPS)
+    try:
+        assert cli.run(["compute", "--format", "text", str(path)]) == cli.EXIT_OK
+    finally:
+        tracer.restore()
+    assert "components 2" in capsys.readouterr().out
+    assert {"cli.load", "cli.parse", "core.first_row", "fnf.compute", "cli.text"} <= {
+        span[0] for span in tracer.spans}
+
+
 def test_read_names_exist():
     # the many-blocks set-up counts components as max() of these labels:
     # smallest offset 3n/4, a few offsets above it

@@ -520,6 +520,21 @@ class TestComputeCommand:
         assert cleaned["component_count"] == 3  # only the offset-3 edge survives
         assert raw["component_count"] == 1
 
+    def test_row_adopts_the_parsed_array(self, tmp_path, monkeypatch):
+        # load_row hands FirstRow the array parse_input made, snapped by
+        # --tolerance first, and the row holds it read-only without a copy
+        parsed = []
+
+        def parse(text):
+            parsed.append(parse_input(text))
+            return parsed[-1]
+        monkeypatch.setattr(cli, "parse_input", parse)
+        path = _write(tmp_path, "row.txt", "0 1e-12 0 -1e-10 2")
+        row = cli.load_row(path, tolerance=1e-9)
+        assert np.shares_memory(row.entries, parsed[0])
+        assert not row.entries.flags.writeable
+        assert row.entries.tolist() == [0.0, 0.0, 0.0, 0.0, 2.0]
+
     def test_tolerance_must_be_nonnegative(self, tmp_path, capsys):
         path = _write(tmp_path, "row.txt", "0 1e-12 0 1")
         for eps in ("-1", "nan", "-inf"):

@@ -35,6 +35,17 @@ class TestFirstRow:
         # squares overflow, entries are finite
         assert FirstRow([0.0, 1e200, -1e300]).n == 3
 
+    def test_public_row_copies_and_private_row_adopts(self):
+        arr = np.array([0.0, 1.0, 2.0])
+        copied = FirstRow(arr)
+        assert not np.shares_memory(copied.entries, arr) and arr.flags.writeable
+        adopted = FirstRow(arr, _adopt=True)
+        assert adopted.entries is arr and not arr.flags.writeable
+        assert adopted == copied
+        for bad in (np.zeros(0), np.zeros((2, 2))):
+            with pytest.raises(ValueError):
+                FirstRow(bad, _adopt=True)
+
     def test_equality(self):
         assert FirstRow([0, 1]) == FirstRow([0.0, 1.0])
         assert FirstRow([0, 1]) != FirstRow([0, 2])

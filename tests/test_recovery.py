@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,14 +180,28 @@ class TestRecoverBlocks:
             assert res.block_bounds.tolist() == list(range(n + 1))
 
     def test_rows_loop_near_the_top_of_the_index_dtype(self):
-        # n = 127 with int8 positions: after the last row, Q + Kd passes 127
-        # for the positions not copied again, and must not be read
+        # n = 127 with int8 positions, 1-based: the top position is the
+        # dtype's maximum, and after the last row Q + Kd passes it for the
+        # positions not copied again, which must not be read
         folded, _ = reduce(OffsetSet(27, [20]))
         perm, bounds = recover_blocks(folded)
-        out, out_bounds = _unfold_groups((perm - 1).astype(np.int8), bounds, 127, 20, np.int8)
+        out, out_bounds = _unfold_groups(perm.astype(np.int8), bounds, 127, 20, np.int8)
         res = _assert_matches_argsort(127, [20])
         assert "rows, r>0" in _replay_paths(res.trace)
-        assert out.tolist() == (res.permutation - 1).tolist()
+        assert out.max() == np.iinfo(np.int8).max
+        assert out.tolist() == res.permutation.tolist()
+        assert out_bounds.tolist() == res.block_bounds.tolist()
+
+    def test_groups_loop_near_the_top_of_the_index_dtype(self):
+        # the doubling rows and the tail of the last group reach position
+        # 127, the int8 maximum
+        folded, _ = reduce(OffsetSet(3, [2]))
+        perm, bounds = recover_blocks(folded)
+        out, out_bounds = _unfold_groups(perm.astype(np.int8), bounds, 127, 2, np.int8)
+        res = _assert_matches_argsort(127, [2])
+        assert _replay_paths(res.trace)[-1] == "groups, r>0"
+        assert out.tolist() == res.permutation.tolist()
+        assert out_bounds.tolist() == res.block_bounds.tolist()
         assert out_bounds.tolist() == res.block_bounds.tolist()
 
     def test_every_offset_set_up_to_order_14(self):
@@ -214,3 +230,54 @@ class TestRecoverBlocks:
         hi = (n - 1) // stride
         offsets = sorted({stride * (lo + p % (hi - lo + 1)) for p in picks}) if hi >= lo else []
         _assert_matches_argsort(n, offsets)
+
+
+def _peak_bytes(replay, trace):
+    """The peak that ``replay(trace)`` allocates, and the bytes its result arrays own."""
+    tracemalloc.start()
+    try:
+        out = replay(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = out if isinstance(out, tuple) else (out.rho,)
+    return peak, sum(a.nbytes for a in arrays if a.base is None)
+
+
+class TestReplayMemory:
+    """At n = 1e6 the replays write their outputs and allocate no n-sized temporary."""
+
+    N = 10 ** 6
+
+    def test_one_component_labels_are_a_constant_view(self):
+        trace, c = reduce(OffsetSet(self.N, [1]))
+        assert c == 1
+        peak, owned = _peak_bytes(recover_cis, trace)
+        assert owned == 0 and peak < 1024
+
+    @pytest.mark.parametrize("offsets", [[4, 6], [10, N - 3]])
+    def test_group_replay_allocates_only_its_outputs(self, offsets):
+        # [4, 6]: c = 2 over K = 5e5 rows; [10, n - 3]: groups with several
+        # positions below d, after an alpha undo
+        trace, c = reduce(OffsetSet(self.N, offsets))
+        assert c > 1 and max(s.n_before // s.d for s in trace.steps if s.kind == BETA) > c
+        peak, owned = _peak_bytes(recover_blocks, trace)
+        assert peak - owned < 256 * 1024
+
+    def test_one_component_rho_on_traces_of_several_steps(self):
+        rng = np.random.default_rng(54)
+        checked = 0
+        for _ in range(3000):
+            n, offsets = random_instance(rng, n_lo=4, n_hi=200, k_max=4)
+            trace, c = reduce(OffsetSet(n, offsets))
+            if c != 1 or len(trace.steps) < 2:
+                continue
+            cis = recover_cis(trace)
+            rho = cis.rho
+            assert rho.shape == (n,) and rho.dtype == np.int32
+            assert not rho.flags.writeable
+            assert np.all(rho == 1)
+            labels = reference.union_find_labels(n, offsets)
+            assert _labels_partition(cis) == reference.partition_from_labels(labels)
+            checked += 1
+        assert checked > 10

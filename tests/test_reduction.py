@@ -298,14 +298,14 @@ class TestReduceFromRow:
         between = reduction._between
 
         def counted(source):
-            inner = between(source)
+            inner, width = between(source)
             if not isinstance(source, FirstRow):
-                return inner
+                return inner, width
 
             def reads(lo, hi):
                 read.append(max(0, min(hi, source.n) - lo))
                 return inner(lo, hi)
-            return reads
+            return reads, width
         monkeypatch.setattr(reduction, "_between", counted)
         rng = np.random.default_rng(7)
         entries = np.where(rng.random(10 * W) < 0.5, 0.0, 1.0)
@@ -322,10 +322,10 @@ class TestReduceFromRow:
         monkeypatch.setattr(reduction, "gcd", lambda a, b: calls.append(1) or math.gcd(a, b))
         move = reduction._move
 
-        def counted(n, between):
+        def counted(n, between, width):
             s0 = between(1, n)[:1]
             before = len(calls)
-            moved = move(n, between)
+            moved = move(n, between, width)
             if moved and moved[0].kind == BETA:
                 assert len(calls) - before <= math.floor(math.log2(s0[0])) + 1
             return moved
@@ -348,6 +348,32 @@ class TestReduceFromRow:
                 assert reduce(row) == expected
                 if row is rows[0]:
                     assert len(calls) == 1  # d: 6 -> 3, then only multiples of 3
+
+    @pytest.mark.parametrize("n, offsets, reads", [
+        (10 ** 5, [40000, 62000], [2, 2, 2, 2, 2, 1]),            # five beta folds
+        (10 ** 5, [60001, 70000, 99999], [2] * 7 + [1]),          # alpha and beta moves
+        (10 ** 6, [4, 6], [3, 1]),                                # d: 4 -> 2 opens [n-3, n-2]
+        (10 ** 5, [40000, 50000, 62000], [4, 1]),                 # d: 40000 -> 10000 -> 2000
+    ])
+    def test_array_moves_read_one_window(self, monkeypatch, n, offsets, reads):
+        # an array is searched, not scanned: a move reads one window for d,
+        # one more each time a smaller d opens offsets past it, and then the
+        # offsets it keeps; the move that finds none reads once
+        calls = []
+        between = reduction._between
+
+        def counted(source):
+            inner, width = between(source)
+            calls.append(0)
+
+            def read(lo, hi):
+                calls[-1] += 1
+                return inner(lo, hi)
+            return read, width
+        monkeypatch.setattr(reduction, "_between", counted)
+        monkeypatch.setattr(reduction, "WINDOW", 1)
+        assert reduce(OffsetSet(n, offsets)) == reduce(_row(n, offsets))
+        assert calls[:len(reads)] == reads
 
 
 class TestStepAndTraceInvariants:

@@ -123,37 +123,29 @@ def _check_order(doc: dict, size: int) -> None:
 
 
 #: str.split()'s ASCII separators: \t \n \v \f \r, \x1c-\x1f and space
-_SEPARATORS = rb"[\t-\r\x1c- ]"
-_LEADING_SPACE = re.compile(_SEPARATORS + rb"*")
-_SEPARATOR = re.compile(_SEPARATORS)
+_LEADING_SPACE = re.compile(rb"[\t-\r\x1c- ]*")
+#: a token ends at one of them or at a comma, which separates a JSON row's tokens
+_SEPARATOR = re.compile(rb"[\t-\r\x1c- ,]")
 
 
 def _read_ascii(data: bytes) -> np.ndarray | None:
     """The row of an ASCII document, or None where :func:`_read_str` must judge it.
 
-    The tokens are found with byte masks, and a one-byte ``0`` token becomes
-    0.0 without a Python object.  A text document's separators are exactly
-    those of ``str.split()``.  A JSON document is checked through its frame:
-    the text up to its first ``[`` and from its last ``]``, which must parse
-    as an object whose ``"first_row"`` is ``[]``.  The frame holds no other
-    bracket, so that array is the row.  The row's bytes may hold only number
-    bytes (``0-9 + - . e E``), commas and JSON whitespace, and its tokens and
-    commas alternate.
+    A text document's tokens are those of ``str.split()``; one holding a comma
+    goes to the ``str`` reader, as ``float()`` refuses every token that holds
+    one.  A JSON document is checked through its frame: the text up to its
+    first ``[`` and from its last ``]``, which must parse as an object whose
+    ``"first_row"`` is ``[]``.  The frame holds no other bracket, so that array
+    is the row.  The row's bytes may hold only number bytes (``0-9 + - . e
+    E``), commas and JSON whitespace, and its tokens and commas alternate.
     """
     at = _LEADING_SPACE.match(data).end()
     if at == len(data):
         return None
     if data[at] != ord("{"):
-        def cut(pos: int) -> int:
-            found = _SEPARATOR.search(data, pos)
-            return found.end() if found else len(data)
-
-        def spaced(b, word, start, zero):  # separators and 0 tokens become spaces
-            return ((b - 32) * (word ^ zero) + 32).tobytes()  # the subtraction wraps back
-
-        # a separator is a byte in 9..13 or 28..32: the subtractions wrap below
-        return _scan(data, 0, len(data), cut, lambda b: ((b - 9) >= 5) & ((b - 28) >= 5),
-                     spaced, lambda texts: np.array(b"".join(texts).split(), dtype=np.float64))
+        if b"," in data:
+            return None
+        return _scan(data, 0, len(data), lambda texts: b"".join(texts).replace(b",", b" ").split())
     lo, hi = data.find(b"["), data.rfind(b"]")
     if not 0 <= lo < hi:
         return None
@@ -162,83 +154,56 @@ def _read_ascii(data: bytes) -> np.ndarray | None:
         doc = json.loads(frame)
     except ValueError:
         return None
-    # the row holds only these bytes if deleting them leaves the same of the document
-    # as of its frame
-    row_bytes = b"0123456789+-.eE, \t\n\r"
-    if (not isinstance(doc, dict) or doc.get("first_row") != []
-            or data.translate(None, row_bytes) != frame.translate(None, row_bytes)):
+    if not isinstance(doc, dict) or doc.get("first_row") != []:
         return None
-    trailing = True  # whether the row so far is empty or ends with a comma
-
-    def cut(pos: int) -> int:  # just past a comma: the window after starts at a token
-        return data.find(b",", pos, hi) + 1 or hi
-
-    def commas_after(b, word, start, zero):
-        nonlocal trailing
-        if start.any() and not zero.any():  # json.loads checks these bytes itself
-            text = b.tobytes()
-            trailing = text.rstrip().endswith(b",")
-            return text
-        # the tokens and commas alternate, a token first: s_0 < c_0 < s_1 < c_1 < ...
-        starts, commas = np.flatnonzero(start), np.flatnonzero(b == ord(","))
-        if (not 0 <= starts.size - commas.size <= 1 or (starts[:commas.size] > commas).any()
-                or (commas[:starts.size - 1] > starts[1:]).any()):
-            return None
-        trailing = starts.size == commas.size
-        kept = word ^ zero
-        after = ~word  # the byte after each kept token becomes its comma, the rest spaces
-        after[1:] &= kept[:-1]
-        after[0] = False
-        fill = after * np.uint8(12) + np.uint8(32)
-        return ((b - fill) * kept + fill).tobytes()
-
-    def convert(texts: list[bytes]) -> np.ndarray:
-        # the comma of the last kept token, where 0 tokens followed it
-        texts[-1] = texts[-1].rstrip().removesuffix(b",")
-        return np.array(json.loads(b"".join([b"[", *texts, b"]"])), dtype=np.float64)
-    # of the bytes the row may hold, those above * but , are those of tokens
-    values = _scan(data, lo + 1, hi, cut, lambda b: (b > ord("*")) ^ (b == ord(",")),
-                   commas_after, convert)
-    if values is None or trailing:
+    # without its whitespace the row must be tokens of number bytes between single commas
+    row = data[lo + 1:hi].translate(None, b" \t\n\r")
+    if (not row or row.translate(None, b"0123456789+-.eE,") or row.startswith(b",")
+            or row.endswith(b",") or b",," in row):
+        return None
+    values = _scan(data, lo + 1, hi, lambda texts: json.loads(b"".join([b"[", *texts, b"]"])))
+    if values is None or values.size != row.count(b",") + 1:
         return None
     _check_order(doc, values.size)
     return values
 
 
-def _scan(data: bytes, lo: int, hi: int, cut, mask, text, convert) -> np.ndarray | None:
-    """The values of the tokens of ``data[lo:hi]``, or None where ``text`` or ``convert`` refuses.
+def _scan(data: bytes, lo: int, hi: int, convert) -> np.ndarray | None:
+    """The values of the tokens of ``data[lo:hi]``, or None where one is no number.
 
-    The bytes are scanned in windows of about ``CHUNK``, each ending at
-    ``cut(lo + CHUNK)``, past a byte that follows a token.  ``mask`` maps a
-    window's bytes ``b`` to a mask of its token bytes.  ``text(b, word,
-    start, zero)``, given also the masks of the tokens' first bytes and of
-    the ``0`` tokens, writes the other tokens of the window, or refuses it.
-    A ``0`` token is 0.0; ``convert`` reads the other tokens from the list of
-    the windows' texts, in one call.
+    The bytes are scanned in windows of about ``CHUNK``, each ending past a
+    separator.  A one-byte ``0`` token is 0.0 without a Python object.  Each
+    window writes its other tokens, each followed by a comma but the last, and
+    spaces for the rest of its bytes.  ``convert`` reads the list of these
+    texts, in one call, into a list of numbers or of tokens for ``float()``.
     """
     count, rest, texts = 0, [], []
     while lo < hi:
-        end = cut(lo + CHUNK) if lo + CHUNK < hi else hi
+        found = _SEPARATOR.search(data, lo + CHUNK, hi)
+        end = found.end() if found else hi
         b = np.frombuffer(data, dtype=np.uint8, count=end - lo, offset=lo)
         lo = end
-        word = mask(b)
+        # a separator is a comma or a byte in 9..13 or 28..32: the subtractions wrap below
+        word = ((b - 9) >= 5) & ((b - 28) >= 5) & (b != ord(","))
         start = word.copy()
         start[1:] &= ~word[:-1]
         zero = start & (b == ord("0"))
         zero[:-1] &= ~word[1:]
-        window = text(b, word, start, zero)
-        if window is None:
-            return None
         tokens, zeros = np.count_nonzero(start), np.count_nonzero(zero)
         if zeros < tokens:
+            kept = word ^ zero
+            text = (b - 32) * kept.view(np.uint8) + 32  # the kept tokens, spaces for the rest
+            comma = kept[:-1] > word[1:]  # on booleans, > is "and not": the byte after each one
+            text[1:] += comma.view(np.uint8) * 12
+            texts.append(text.tobytes())
             at = np.arange(tokens) if not zeros else np.flatnonzero(~zero[np.flatnonzero(start)])
             rest.append(at + count)
-            texts.append(window)
         count += tokens
     values = np.zeros(count)
     if texts:
+        texts[-1] = texts[-1].rstrip().removesuffix(b",")  # the last token's comma
         try:
-            values[np.concatenate(rest)] = convert(texts)
+            values[np.concatenate(rest)] = np.array(convert(texts), dtype=np.float64)
         except (ValueError, OverflowError):  # a token float() or json refuses, or beyond float64
             return None
     return values

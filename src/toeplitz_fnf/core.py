@@ -124,15 +124,7 @@ def offsets_from_row(row: FirstRow) -> OffsetSet:
 
     ``a_0`` is excluded regardless of its value.
     """
-    offsets = np.flatnonzero(row.entries[1:] != 0.0).astype(np.int64, copy=False)
-    offsets += 1
-    # indices into entries[1:] come out strictly increasing in [0, n-2], so
-    # the shifted array meets the OffsetSet contract without a check
-    offsets.setflags(write=False)
-    offset_set = OffsetSet.__new__(OffsetSet)
-    offset_set.n = row.n
-    offset_set.offsets = offsets
-    return offset_set
+    return OffsetSet(row.n, np.flatnonzero(row.entries[1:] != 0.0) + 1)
 
 
 def row_from_offsets(n: int, offsets: Iterable[int]) -> FirstRow:

@@ -79,13 +79,14 @@ class ComponentIndexSequence:
 
     ``rho[k]`` is the component index of vertex ``k + 1``; two vertices get
     equal labels exactly when they lie in the same component.  Every label
-    in ``[1, c]`` occurs at least once.
+    in ``[1, c]`` occurs at least once.  The sequence keeps a read-only copy
+    of ``rho``, so an array passed in is never frozen in its caller's hands.
     """
 
     __slots__ = ("n", "c", "rho")
 
     def __init__(self, n: int, c: int, rho: np.ndarray) -> None:
-        rho = np.asarray(rho)
+        rho = np.array(rho)
         if n < 1:
             raise ValueError(f"order must be at least 1, got {n}")
         if rho.ndim != 1 or rho.size != n:

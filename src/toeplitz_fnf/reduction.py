@@ -26,8 +26,7 @@ until ``d`` is final (for beta: none past ``n - d``, none once ``d == 1``),
 then only those it keeps, from ``min(S)`` for alpha and above ``n - d`` for
 beta.  A row is read in windows from ``WINDOW`` positions wide, so one with
 ``a_1 != 0`` is read in one window.  An offset array is searched in one
-unbounded window, and again only where a smaller ``d`` makes more offsets
-usable.
+unbounded window, which is cut by the bound of each ``d`` in turn.
 """
 
 from __future__ import annotations
@@ -176,13 +175,12 @@ def _divisor(n: int, between: Between, width: int) -> int:
         usable = between(lo, hi)
         if not d and usable.size:
             # for alpha (2 * d > n) no offset is usable, and the scan ends here
-            d = int(usable[0])
-            hi = min(hi, n + 1 - d)
-            usable = usable[1:usable.searchsorted(hi)]
+            d, usable = int(usable[0]), usable[1:]
         # Multiples of d leave it unchanged, so jump to the first non-multiple
-        # and filter the rest of the window by the new d.  A smaller d only
-        # widens the usable range, which the next windows read.
-        while d > 1 and (nonmultiple := np.flatnonzero(usable % d)).size:
+        # among the offsets usable for the current d.  A smaller d only widens
+        # the usable range, which the rest of the window and the next windows hold.
+        while d > 1 and (nonmultiple := np.flatnonzero(
+                usable[:usable.searchsorted(n + 1 - d)] % d)).size:
             k = int(nonmultiple[0])
             d = gcd(d, int(usable[k]))
             usable = usable[k + 1:]

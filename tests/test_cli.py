@@ -246,7 +246,8 @@ class TestReaderMatchesReference:
     def test_every_ascii_byte_beside_tokens(self):
         for c in map(chr, range(128)):
             for doc in (f"1{c}0{c}2", f"{c}0 1{c}", f"0{c}", '{"first_row": [1,%s0%s, 2]}' % (c, c),
-                        '{"first_row": [1%s, 0%s]}' % (c, c), '{"first_row": [%s0]}' % c):
+                        '{"first_row": [1%s, 0%s]}' % (c, c), '{"first_row": [%s0]}' % c,
+                        '{"first_row": [1,%s2]}' % c):
                 self._judge(doc)
                 try:
                     reference.parse_input(doc)

@@ -107,6 +107,13 @@ class TestComponentIndexSequence:
         assert reference.partition_from_labels(cis.rho) == {frozenset({2, 4}),
                                                             frozenset({1, 3, 5})}
 
+    def test_callers_array_stays_writable(self):
+        a = np.array([1, 2, 1])
+        cis = ComponentIndexSequence(3, 2, a)
+        assert a.flags.writeable and not cis.rho.flags.writeable
+        a[0] = 2
+        assert cis.rho.tolist() == [1, 2, 1]
+
 
 def _argsort_blocks(cis):
     """Reference grouping by a stable sort of the labels (test-only copy of

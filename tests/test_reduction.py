@@ -352,13 +352,13 @@ class TestReduceFromRow:
     @pytest.mark.parametrize("n, offsets, reads", [
         (10 ** 5, [40000, 62000], [2, 2, 2, 2, 2, 1]),            # five beta folds
         (10 ** 5, [60001, 70000, 99999], [2] * 7 + [1]),          # alpha and beta moves
-        (10 ** 6, [4, 6], [3, 1]),                                # d: 4 -> 2 opens [n-3, n-2]
-        (10 ** 5, [40000, 50000, 62000], [4, 1]),                 # d: 40000 -> 10000 -> 2000
+        (10 ** 6, [4, 6], [2, 1]),                                # d: 4 -> 2
+        (10 ** 5, [40000, 50000, 62000], [2, 1]),                 # d: 40000 -> 10000 -> 2000
     ])
     def test_array_moves_read_one_window(self, monkeypatch, n, offsets, reads):
         # an array is searched, not scanned: a move reads one window for d,
-        # one more each time a smaller d opens offsets past it, and then the
-        # offsets it keeps; the move that finds none reads once
+        # however often d falls, and then the offsets it keeps; the move that
+        # finds none reads once
         calls = []
         between = reduction._between
 

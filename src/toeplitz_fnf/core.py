@@ -83,7 +83,10 @@ class OffsetSet:
 
     def __init__(self, n: int, offsets: Iterable[int] | np.ndarray) -> None:
         raw = offsets if isinstance(offsets, np.ndarray) else list(offsets)
-        arr = np.array(raw, dtype=np.int64)
+        try:
+            arr = np.array(raw, dtype=np.int64)
+        except OverflowError as exc:  # an int beyond int64 is beyond every order
+            raise ValueError(f"offsets must lie in [1, {n - 1}]") from exc
         # the int64 cast truncates, so compare with what was passed in
         if np.any(arr != raw):
             raise ValueError("offsets must be integers")

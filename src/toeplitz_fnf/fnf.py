@@ -9,7 +9,6 @@ component by component, is the decomposition; blocks are built when read.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -26,6 +25,13 @@ __all__ = [
     "compute_fnf",
 ]
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``, which stays writable in its caller's hands."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class FnfBlock:
     """One irreducible diagonal block and the vertices it came from."""
@@ -35,12 +41,10 @@ class FnfBlock:
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "first_row", np.asarray(self.first_row, dtype=np.float64))
-        object.__setattr__(self, "vertices", np.asarray(self.vertices))
+        object.__setattr__(self, "first_row", _read_only(np.asarray(self.first_row, np.float64)))
+        object.__setattr__(self, "vertices", _read_only(np.asarray(self.vertices)))
         if self.size < 1 or self.first_row.size != self.size or self.vertices.size != self.size:
             raise ValueError("block row and vertex list must both have the block size")
-        self.first_row.setflags(write=False)
-        self.vertices.setflags(write=False)
 
     @property
     def offsets(self) -> np.ndarray:
@@ -73,8 +77,8 @@ class FnfResult:
         bounds = self.block_bounds
         if bounds.size != self.cis.c + 1 or bounds[0] != 0 or bounds[-1] != self.row.n:
             raise ValueError("block bounds must cut 0..n into one block per component")
-        self.permutation.setflags(write=False)
-        bounds.setflags(write=False)
+        object.__setattr__(self, "permutation", _read_only(self.permutation))
+        object.__setattr__(self, "block_bounds", _read_only(bounds))
 
     @property
     def n(self) -> int:
@@ -108,14 +112,9 @@ class BlockViews(Sequence):
         return self._result.block_bounds.size - 1
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self._block, range(*k.indices(len(self)))))
-        k = operator.index(k)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("block index out of range")
-        return self._block(k)
+        # range indexes, slices and raises exactly as a tuple does
+        at = range(len(self))[k]
+        return tuple(map(self._block, at)) if isinstance(at, range) else self._block(at)
 
     def __iter__(self):
         return map(self._block, range(len(self)))

@@ -131,7 +131,7 @@ def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
     With one component ``rho`` is a read-only stride-0 view of a single ``1``.
     """
     n, c = trace.n_initial, trace.component_count
-    dtype = _index_dtype(max(n, c))
+    dtype = _index_dtype(n)
     # the replay labels every vertex and uses each label in [1, c], so the
     # constructor's full-vector checks are skipped
     cis = ComponentIndexSequence.__new__(ComponentIndexSequence)
@@ -145,8 +145,7 @@ def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
     for step in reversed(trace.steps):
         out = np.empty(step.n_before, dtype=dtype)
         if step.kind == ALPHA:
-            half = step.n_after // 2
-            width = step.n_before - step.n_after
+            half, width = step.n_before - step.d, step.c
             out[:half] = rho[:half]
             out[half + width:] = rho[half:]
             out[half:half + width] = np.arange(fresh + 1, fresh + width + 1, dtype=dtype)
@@ -170,7 +169,7 @@ def recover_blocks(trace: ReductionTrace) -> tuple[np.ndarray, np.ndarray]:
     no labels are sorted.
     """
     n, c = trace.n_initial, trace.component_count
-    dtype = _index_dtype(max(n, c))
+    dtype = _index_dtype(n)
     if c == 1:
         return np.arange(1, n + 1, dtype=dtype), np.array([0, n], dtype=np.int64)
     perm = np.arange(1, trace.n_final + 1, dtype=dtype)
@@ -180,8 +179,7 @@ def recover_blocks(trace: ReductionTrace) -> tuple[np.ndarray, np.ndarray]:
         if step.kind == ALPHA:
             # positions right of the band move past it; the band's vertices
             # become singleton groups after all others
-            half = step.n_after // 2
-            width = step.n_before - step.n_after
+            half, width = step.n_before - step.d, step.c
             out = np.empty(step.n_before, dtype=dtype)
             old = out[:step.n_after]
             old[:] = perm

@@ -5,7 +5,10 @@ from hypothesis import given, strategies as st
 from toeplitz_fnf import (
     FirstRow,
     OffsetSet,
+    alpha_reduce,
+    beta_reduce,
     offsets_from_row,
+    reachability_divisor,
     row_from_offsets,
     toeplitz_entry,
 )
@@ -64,6 +67,13 @@ class TestOffsetSet:
         # the message names the extremes, not every offset
         with pytest.raises(ValueError, match=r"got 1\.\.1000000$"):
             OffsetSet(10**6, np.arange(1, 10**6 + 1))
+        # an int beyond int64 is out of range too, not an OverflowError
+        for offsets in ([10**20], [2, -10**20]):
+            with pytest.raises(ValueError, match=r"lie in \[1, 9\]"):
+                OffsetSet(10, offsets)
+        for check in (row_from_offsets, alpha_reduce, beta_reduce, reachability_divisor):
+            with pytest.raises(ValueError, match="lie in"):
+                check(10, [10**20])
 
     def test_rejects_fractional(self):
         for offsets in ([1.5, 2.9], [1, 2.5], np.array([2.0, 3.25])):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toeplitz_fnf import FirstRow, compute_fnf, row_from_offsets
+from toeplitz_fnf import FirstRow, FnfBlock, FnfResult, compute_fnf, row_from_offsets
 
 import reference
 from conftest import random_instance, sweep_instances
@@ -190,6 +190,61 @@ class TestComputeFnf:
         assert res.component_count == 1
         assert np.shares_memory(res.blocks[0].first_row, row.entries)
         assert res.blocks[0].first_row.tolist() == row.entries.tolist()
+
+    def test_block_freezes_a_view_of_the_callers_arrays(self):
+        first_row, vertices = np.array([1.0, 0.0, 2.0]), np.array([1, 3, 5])
+        block = FnfBlock(size=3, first_row=first_row, vertices=vertices)
+        assert not block.first_row.flags.writeable
+        assert not block.vertices.flags.writeable
+        assert first_row.flags.writeable and vertices.flags.writeable
+        assert np.shares_memory(block.first_row, first_row)
+        assert np.shares_memory(block.vertices, vertices)
+
+    def test_result_freezes_a_view_of_the_callers_arrays(self):
+        res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
+        permutation, bounds = res.permutation.copy(), res.block_bounds.copy()
+        again = FnfResult(row=res.row, cis=res.cis, permutation=permutation,
+                          block_bounds=bounds, trace=res.trace)
+        assert not again.permutation.flags.writeable
+        assert not again.block_bounds.flags.writeable
+        assert permutation.flags.writeable and bounds.flags.writeable
+        assert np.shares_memory(again.permutation, permutation)
+        assert np.shares_memory(again.block_bounds, bounds)
+
+    @pytest.mark.parametrize("row", [
+        FirstRow([1.0, 0.0, 2.0, 3.0, 0.0]),        # c = 1
+        row_from_offsets(10, [2, 6]),               # c = 2
+        row_from_offsets(31, [12, 18, 24, 29]),     # c = 4
+        FirstRow([5.0, 0.0, 0.0, 0.0, 0.0, 0.0]),   # c = n
+    ])
+    def test_blocks_index_as_a_tuple(self, row):
+        blocks = compute_fnf(row).blocks
+        expected = tuple(blocks)
+        c = len(expected)
+
+        def outcome(seq, k):
+            try:
+                return seq[k]
+            except Exception as exc:
+                return type(exc)
+
+        def same(got, want):
+            if isinstance(want, type):
+                return got is want
+            if isinstance(want, tuple):
+                return (isinstance(got, tuple) and len(got) == len(want)
+                        and all(map(same, got, want)))
+            return (isinstance(got, FnfBlock) and got.size == want.size
+                    and got.vertices.tolist() == want.vertices.tolist()
+                    and got.first_row.tolist() == want.first_row.tolist())
+
+        ints = range(-c - 2, c + 2)
+        keys = [*ints, *map(np.int64, ints), 1.0, 0.5, "0", None,
+                slice(None, None, -1), slice(None, None, -c - 3), slice(None, None, c + 3),
+                slice(1, None, 2), slice(-1, -c - 5, -2), slice(-100, 100),
+                slice(np.int64(-1), None, np.int64(-2)), slice(None, None, 0)]
+        for k in keys:
+            assert same(outcome(blocks, k), outcome(expected, k)), k
 
 
 def _assert_canonical_labels(n, offsets):

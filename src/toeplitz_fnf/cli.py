@@ -56,6 +56,8 @@ MAX_BENCH_SIZE = 10**8
 #: Entries formatted, or input bytes read, per vectorised pass; it bounds the
 #: passes' temporaries.
 CHUNK = 1 << 16
+#: Bytes of output text decoded at a time; with ``CHUNK`` it bounds each write.
+SPAN = 4 * CHUNK
 
 
 class InputError(ValueError):
@@ -287,58 +289,113 @@ def _row_tokens(entries: np.ndarray, sep: str):
     return ids, write
 
 
-def _join(values: np.ndarray, write, last: np.ndarray, sep: str):
-    """The values' texts laid end to end, and a generator of each block's text.
+def _text(values: np.ndarray, write, bounds: np.ndarray, sep: str) -> tuple[memoryview, np.ndarray]:
+    """The values' texts laid end to end, and where each block's text starts, then the end.
 
-    ``write`` formats ``CHUNK`` values at a time (see :func:`_decimal`);
-    ``last`` lists, ascending, the last entry of each block but the final one.
+    ``write`` formats ``CHUNK`` values at a time (see :func:`_decimal`), each
+    text followed by ``sep``, whose first byte is 0 after a block's last entry.
+    Block ``k``'s text, that ``sep`` included, is ``text[ends[k]:ends[k + 1]]``.
     """
-    chunks, ends, offset = [], [], 0
+    text, ends, last = bytearray(), [np.zeros(1, dtype=np.int64)], bounds[1:] - 1
     for at in range(0, values.size, CHUNK):
         data, count = write(values[at:at + CHUNK])
         here = last[np.searchsorted(last, at):np.searchsorted(last, at + count.size)]
-        ends.append(offset + np.cumsum(count)[here - at] - len(sep))  # where each block ends
-        chunks.append(data)
-        offset += data.size
-    chunks[-1] = chunks[-1][:-len(sep)]  # a view: the text is not copied to drop it
-    text = b"".join(chunks).decode("ascii")
-    ends = np.concatenate([*ends, [len(text)]])
-
-    def blocks():
-        start = 0
-        for end in memoryview(ends):  # one Python int at a time, not a list of c
-            yield text[start:end]
-            start = end + len(sep)
-    return text, blocks()
+        stop = np.cumsum(count)[here - at]
+        data[stop - len(sep)] = 0
+        ends.append(len(text) + stop)
+        text.extend(data)
+    return memoryview(text), np.concatenate(ends)
 
 
-def _pieces(result: FnfResult, sep: str):
-    """Joined label and permutation texts, and per block its size, vertices and first row."""
+def _slices(text: memoryview, lo: int, hi: int):
+    """``text[lo:hi]`` decoded, ``SPAN`` bytes at a time."""
+    for at in range(lo, hi, SPAN):
+        yield str(text[at:min(at + SPAN, hi)], "ascii")
+
+
+def _labels(rho: np.ndarray, sep: str):
+    """The labels' text, ``CHUNK`` labels at a time."""
+    for at in range(0, rho.size, CHUNK):
+        data, _ = _decimal(rho[at:at + CHUNK], sep)
+        yield str(data[:-len(sep)] if at + CHUNK >= rho.size else data, "ascii")
+
+
+def _body(result: FnfResult, sep: str, joiner: str, middle: str, batch):
+    """The blocks' text, ``joiner`` between blocks, then ``middle`` and the permutation's.
+
+    The vertex texts, which are the permutation's, and the row texts are
+    formatted once (see :func:`_text`).  The blocks go a pass at a time: at
+    most ``CHUNK`` blocks and ``SPAN`` bytes of each text, each decoded once.
+    ``batch(k, sizes, verts, rows)`` formats a pass whose first block is the
+    ``k``-th (0-based), from its blocks' sizes and texts.  A block with more
+    text than a pass goes alone, its texts in slices where ``batch`` put the
+    markers ``\\1`` and ``\\2``.
+    """
     perm, bounds = result.permutation, result.block_bounds
-    last = bounds[1:-1] - 1
+    sizes = np.diff(bounds)
     token, write_row = _row_tokens(result.row.entries, sep)
-    perm_text, vertices = _join(perm, lambda chunk: _decimal(chunk, sep), last, sep)
     # a block's row is read at each vertex's distance from the block's first vertex
-    _, rows = _join(token[perm - np.repeat(perm[bounds[:-1]], np.diff(bounds))],
-                    write_row, last, sep)
-    cis, _ = _join(result.cis.rho, lambda chunk: _decimal(chunk, sep), last[:0], sep)
-    return cis, perm_text, zip(memoryview(np.diff(bounds)), vertices, rows)
+    row_text = _text(token[perm - np.repeat(perm[bounds[:-1]], sizes)], write_row, bounds, sep)
+    texts = _text(perm, lambda chunk: _decimal(chunk, sep), bounds, sep), row_text
+    last_sep = "\0" + sep[1:]  # the separator after a block's last entry (see _text)
+    start = 0
+    while start < sizes.size:
+        stop = min([start + CHUNK] + [int(ends.searchsorted(ends[start] + SPAN, "right")) - 1
+                                      for _, ends in texts])
+        if start:
+            yield joiner
+        if stop > start:
+            verts, rows = (str(text[ends[start]:ends[stop]], "ascii").split(last_sep)
+                           for text, ends in texts)
+            yield joiner.join(batch(start, memoryview(sizes[start:stop]), verts, rows))
+        else:
+            stop = start + 1
+            spans = {mark: (text, ends[start], ends[stop] - len(sep))
+                     for mark, (text, ends) in zip("\1\2", texts)}
+            one, = batch(start, sizes[start:stop], ["\1"], ["\2"])
+            for piece in re.split("([\1\2])", one):
+                yield from _slices(*spans[piece]) if piece in spans else (piece,)
+        start = stop
+    yield middle
+    text, ends = texts[0]
+    for piece in _slices(text, 0, ends[-1] - len(sep)):
+        yield piece.replace("\0", sep[0])
 
 
-def render_json(result: FnfResult, include_trace: bool = False) -> str:
-    """The JSON document ``fnf compute`` prints, newline included."""
-    cis, perm, blocks = _pieces(result, ", ")
-    parts = [f'{{"n": {result.n}, "component_count": {result.component_count}, '
-             f'"cis": [{cis}], "blocks": [',
-             ", ".join([f'{{"size": {size}, "first_row": [{row}], "vertices": [{verts}]}}'
-                        for size, verts, row in blocks]),
-             f'], "permutation": [{perm}]']
+def _emit(pieces, out):
+    """``out.write`` each piece and return None, or without ``out`` return them joined."""
+    if out is None:
+        return "".join(pieces)
+    for piece in pieces:
+        out.write(piece)
+    return None
+
+
+def _json_batch(k, sizes, verts, rows):
+    return [f'{{"size": {size}, "first_row": [{row}], "vertices": [{vertices}]}}'
+            for size, vertices, row in zip(sizes, verts, rows)]
+
+
+def _json_pieces(result: FnfResult, include_trace: bool):
+    yield f'{{"n": {result.n}, "component_count": {result.component_count}, "cis": ['
+    yield from _labels(result.cis.rho, ", ")
+    yield '], "blocks": ['
+    yield from _body(result, ", ", ", ", '], "permutation": [', _json_batch)
+    yield "]"
     if include_trace:
         steps = [{"kind": s.kind, "n_before": s.n_before, "n_after": s.n_after,
                   "d": s.d, "c": s.c} for s in result.trace.steps]
-        parts.append(f', "trace": {json.dumps(steps, separators=(", ", ": "))}')
-    parts.append("}\n")
-    return "".join(parts)
+        yield f', "trace": {json.dumps(steps, separators=(", ", ": "))}'
+    yield "}\n"
+
+
+def render_json(result: FnfResult, include_trace: bool = False, out=None) -> str | None:
+    """The JSON document ``fnf compute`` prints, newline included.
+
+    With ``out`` it is written there in pieces of bounded size (see
+    :func:`_body`), and None is returned.
+    """
+    return _emit(_json_pieces(result, include_trace), out)
 
 
 def result_to_document(result: FnfResult, include_trace: bool = False) -> dict:
@@ -349,17 +406,25 @@ def document_to_json(doc: dict) -> str:
     return json.dumps(doc, separators=(", ", ": ")) + "\n"
 
 
-def render_text(result: FnfResult, include_trace: bool = False) -> str:
-    cis, perm, blocks = _pieces(result, ",")
-    lines = [f"n {result.n}", f"components {result.component_count}"]
-    lines += [f"block {k} size={size} vertices={verts} first_row={row}"
-              for k, (size, verts, row) in enumerate(blocks, start=1)]
-    lines += [f"permutation {perm}", f"cis {cis}"]
+def _text_batch(k, sizes, verts, rows):
+    return [f"block {i} size={size} vertices={vertices} first_row={row}"
+            for i, (size, vertices, row) in enumerate(zip(sizes, verts, rows), start=k + 1)]
+
+
+def _text_pieces(result: FnfResult, include_trace: bool):
+    yield f"n {result.n}\ncomponents {result.component_count}\n"
+    yield from _body(result, ",", "\n", "\npermutation ", _text_batch)
+    yield "\ncis "
+    yield from _labels(result.cis.rho, ",")
+    yield "\n"
     if include_trace:
-        for s in result.trace.steps:
-            lines.append(f"trace {s.kind} n={s.n_before}->{s.n_after} d={s.d} c={s.c}")
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+        yield "".join(f"trace {s.kind} n={s.n_before}->{s.n_after} d={s.d} c={s.c}\n"
+                      for s in result.trace.steps)
+
+
+def render_text(result: FnfResult, include_trace: bool = False, out=None) -> str | None:
+    """The text document ``fnf compute --format text`` prints; ``out`` as for :func:`render_json`."""
+    return _emit(_text_pieces(result, include_trace), out)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +602,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     row = load_row(args.input, tolerance=args.tolerance)
     result = compute_fnf(row)
     render = render_json if args.format == "json" else render_text
-    sys.stdout.write(render(result, args.trace))
+    render(result, args.trace, sys.stdout)
     return EXIT_OK
 
 

@@ -83,6 +83,13 @@ class OffsetSet:
 
     def __init__(self, n: int, offsets: Iterable[int] | np.ndarray) -> None:
         raw = offsets if isinstance(offsets, np.ndarray) else list(offsets)
+        # the int64 cast would wrap what int64 cannot hold, so a float or
+        # unsigned array is checked first
+        if isinstance(raw, np.ndarray) and raw.dtype.kind in "fu" and raw.size:
+            if not np.isfinite(raw).all():
+                raise ValueError("offsets must be integers")
+            if raw.min() < 1 or raw.max() > n - 1:
+                raise ValueError(f"offsets must lie in [1, {n - 1}], got {raw.min()}..{raw.max()}")
         try:
             arr = np.array(raw, dtype=np.int64)
         except OverflowError as exc:  # an int beyond int64 is beyond every order

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -388,6 +389,12 @@ def _dense_row(n, seed):
     return entries.tolist()
 
 
+def _long_tokens_row(n, seed):
+    """One block (``a_1 != 0``) whose entries print as integers of about 300 digits."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(1, 10**6, size=n) * 1e294).tolist()
+
+
 WRITER_ROWS = {
     "golden-31": _golden_31(),
     "weighted-7": [0.0, 0.0, 3.0, 0.0, 8.0, 0.0, 9.0],
@@ -400,12 +407,29 @@ WRITER_ROWS = {
     "thirds-3-chunks": _thirds_row(),
     "all-zero-2-chunks+1": [0.0] * (2 * cli.CHUNK + 1),
     "dense-2-chunks+7": _dense_row(2 * cli.CHUNK + 7, 13),
+    # one block whose texts each span several passes
+    "one-block-long-tokens": _long_tokens_row(cli.CHUNK, 17),
 }
+
+#: The most text one write may hold, whatever the order: a pass of ``CHUNK``
+#: blocks has about 60 characters each of header and bounded text.
+WRITE_BOUND = 64 * cli.CHUNK
+
+
+class _OnlyWriteStdout:
+    """A stdout with only ``write(str)`` and ``flush()``, as a traced benchmark child has."""
+
+    def __init__(self):
+        self.writes = []
+        self.write = self.writes.append
+
+    def flush(self):
+        pass
 
 
 class TestWriterBytes:
     @pytest.mark.parametrize("name", sorted(WRITER_ROWS))
-    def test_matches_per_entry_reference(self, name, tmp_path, capsys):
+    def test_matches_per_entry_reference(self, name, tmp_path, capsys, monkeypatch):
         values = WRITER_ROWS[name]
         result = compute_fnf(FirstRow(values))
         inputs = (_write(tmp_path, "row.txt", " ".join(map(repr, values))),
@@ -423,6 +447,13 @@ class TestWriterBytes:
                     i = len(os.path.commonprefix([got, want]))
                     pytest.fail(f"{argv}: first difference at character {i}: "
                                 f"{got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}")
+                # the same bytes in bounded writes to a stdout with only write and flush
+                stdout = _OnlyWriteStdout()
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, "sys", types.SimpleNamespace(stdout=stdout, stderr=sys.stderr))
+                    assert run(argv) == EXIT_OK
+                assert "".join(stdout.writes) == want, argv
+                assert max(map(len, stdout.writes)) <= WRITE_BOUND, argv
 
     def test_rows_cut_into_several_blocks(self):
         assert compute_fnf(FirstRow(WRITER_ROWS["special-values"])).component_count == 2
@@ -437,6 +468,9 @@ class TestWriterBytes:
         assert zero.component_count == zero.n > 2 * chunk
         dense = compute_fnf(FirstRow(WRITER_ROWS["dense-2-chunks+7"]))
         assert dense.component_count == 1 and np.count_nonzero(dense.row.entries) > 2 * chunk
+        long = compute_fnf(FirstRow(WRITER_ROWS["one-block-long-tokens"]))
+        assert long.component_count == 1
+        assert len(cli.render_text(long)) > 4 * WRITE_BOUND
 
     def test_compute_reads_no_block_objects(self, tmp_path, monkeypatch):
         def refuse(self):

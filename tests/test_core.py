@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -74,6 +76,16 @@ class TestOffsetSet:
         for check in (row_from_offsets, alpha_reduce, beta_reduce, reachability_divisor):
             with pytest.raises(ValueError, match="lie in"):
                 check(10, [10**20])
+        # float and unsigned arrays too, checked before the int64 cast warns or wraps
+        for offsets in (np.array([1e20]), np.array([2.0, 1e20]),
+                        np.array([2**63], dtype=np.uint64)):
+            with pytest.raises(ValueError, match=r"lie in \[1, 9\]"):
+                OffsetSet(10, offsets)
+        for offsets in (np.array([np.nan]), np.array([2.0, np.inf]), np.array([-np.inf])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="integers"):
+                    OffsetSet(10, offsets)
 
     def test_rejects_fractional(self):
         for offsets in ([1.5, 2.9], [1, 2.5], np.array([2.0, 3.25])):

@@ -289,7 +289,7 @@ def _row_tokens(entries: np.ndarray, sep: str):
     return ids, write
 
 
-def _text(values: np.ndarray, write, bounds: np.ndarray, sep: str) -> tuple[memoryview, np.ndarray]:
+def _text(values: np.ndarray, write, bounds: np.ndarray, sep: str):
     """The values' texts laid end to end, and where each block's text starts, then the end.
 
     ``write`` formats ``CHUNK`` values at a time (see :func:`_decimal`), each
@@ -423,7 +423,7 @@ def _text_pieces(result: FnfResult, include_trace: bool):
 
 
 def render_text(result: FnfResult, include_trace: bool = False, out=None) -> str | None:
-    """The text document ``fnf compute --format text`` prints; ``out`` as for :func:`render_json`."""
+    """The text document ``fnf compute --format text`` prints; ``out`` as in :func:`render_json`."""
     return _emit(_text_pieces(result, include_trace), out)
 
 

@@ -83,8 +83,8 @@ class OffsetSet:
 
     def __init__(self, n: int, offsets: Iterable[int] | np.ndarray) -> None:
         raw = offsets if isinstance(offsets, np.ndarray) else list(offsets)
-        # the int64 cast would wrap what int64 cannot hold, so a float or
-        # unsigned array is checked first
+        # the int64 cast warns on NaN and inf and wraps what int64 cannot
+        # hold, so a float or unsigned array is checked first
         if isinstance(raw, np.ndarray) and raw.dtype.kind in "fu" and raw.size:
             if not np.isfinite(raw).all():
                 raise ValueError("offsets must be integers")

@@ -411,8 +411,8 @@ WRITER_ROWS = {
     "one-block-long-tokens": _long_tokens_row(cli.CHUNK, 17),
 }
 
-#: The most text one write may hold, whatever the order: a pass of ``CHUNK``
-#: blocks has about 60 characters each of header and bounded text.
+#: The most text one write may hold, whatever the order: a pass holds at most
+#: ``CHUNK`` blocks, with headers of about 50 characters, and ``2 * SPAN`` of text.
 WRITE_BOUND = 64 * cli.CHUNK
 
 
@@ -450,7 +450,8 @@ class TestWriterBytes:
                 # the same bytes in bounded writes to a stdout with only write and flush
                 stdout = _OnlyWriteStdout()
                 with monkeypatch.context() as patch:
-                    patch.setattr(cli, "sys", types.SimpleNamespace(stdout=stdout, stderr=sys.stderr))
+                    patch.setattr(cli, "sys",
+                                  types.SimpleNamespace(stdout=stdout, stderr=sys.stderr))
                     assert run(argv) == EXIT_OK
                 assert "".join(stdout.writes) == want, argv
                 assert max(map(len, stdout.writes)) <= WRITE_BOUND, argv

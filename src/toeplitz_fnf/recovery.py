@@ -46,18 +46,26 @@ of ``Q_L`` because ``Q_L`` is sorted, and by (1) the folded group is
 exactly ``Q_L`` followed by ``Q_L ∩ [0, r) + d``.  Positions inside a
 group stay increasing, existing groups keep their order and fresh groups
 come last, just as fresh labels are the largest, so group ``L`` is label
-``L + 1`` throughout.  A beta undo loops over the groups when ``c <= K``
-and over ``k < K`` otherwise.  Every group has a position below ``d``, so
-``c <= d``, and ``Kd <= n``; each undo therefore runs at most
-``min(c, K) <= sqrt(n)`` Python iterations, plus ``O(log K)`` doubling
-copies, around vectorised work proportional to ``n``.
+``L + 1`` throughout.
+
+A beta undo loops over runs of consecutive groups alike in
+``m_L = |Q_L|`` and ``t_L = |Q_L ∩ [0, r)|``; a run of ``G`` groups owns
+one row-major ``(G, K m + t)`` block of the output.  Runs are found by
+comparing neighbours, so only their number rests on (2): at ``x = d`` and
+``x = r`` in the folded instance it says ``m`` and ``t`` do not increase
+along the groups.  Every group has a position below ``d``, so ``m`` holds
+positive values summing to ``d`` and ``t`` values summing to ``r``, and
+``j`` distinct positive values sum to at least ``j(j + 1)/2``; an undo
+thus runs at most ``sqrt(2d) + sqrt(2r) + 1 = O(sqrt(n))`` Python
+iterations, plus ``O(log K)`` doubling copies, around vectorised work
+proportional to ``n``.
 
 The replay holds each position above plus one (``Q_L`` is the part of a
 group at most ``d``), so its result is the 1-based permutation with no
 final pass, and no step allocates an ``n``-sized array besides its output.
-Looping over the groups, it fills the first group's ``K`` rows by doubling
-copies; that group's first column then holds the row offsets
-``Q_0[0] + kd``, to which every other group adds its ``Q_L - Q_0[0]``.
+It fills the first group's ``K`` rows by doubling copies; that group's
+first column then holds the row offsets ``Q_0[0] + kd``, to which each
+run adds its groups' ``Q_L - Q_0[0]`` in one broadcast.
 With one component the labels are a constant, read-only view.
 """
 
@@ -201,46 +209,37 @@ def _unfold_groups(perm: np.ndarray, bounds: np.ndarray, n: int, d: int,
     """
     K = n // d
     low = perm <= d
-    # Q_L for every group, concatenated in group order
+    # Q_L for every group, concatenated in group order; m_L = |Q_L| and the
+    # t_L positions after Q_L are the tail, Q_L ∩ [1, r] + d
     q = perm[low]
-    low_end = np.concatenate(([0], np.cumsum(low)))[bounds]
-    m = np.diff(low_end)
-    tail = np.diff(bounds) - m
-    new_bounds = np.concatenate(([0], np.cumsum(K * m + tail)))
+    m = np.add.reduceat(low, bounds[:-1], dtype=np.int64)
+    t = np.diff(bounds) - m
+    q_bounds = np.concatenate(([0], np.cumsum(m)))
+    new_bounds = np.concatenate(([0], np.cumsum(K * m + t)))
     out = np.empty(n, dtype=dtype)
-    c = m.size
-    if c <= K:
-        # the first group, row k = Q_0 + kd, by doubling copies; its first
-        # column Q_0[0] + kd then offsets every other group's rows
-        first = out[:K * m[0]].reshape(K, m[0])
-        first[0] = q[:m[0]]
-        filled = 1
-        while filled < K:
-            chunk = min(filled, K - filled)
-            np.add(first[:chunk], filled * d, out=first[filled:filled + chunk])
-            filled += chunk
-        column = first[:, :1]
-        base = int(q[0])
-        q -= base
-        for lo, hi, q_lo, q_hi, t in zip(new_bounds[:-1].tolist(), new_bounds[1:].tolist(),
-                                         low_end[:-1].tolist(), low_end[1:].tolist(),
-                                         tail.tolist()):
-            group = q[q_lo:q_hi]
-            mid = hi - t
-            if lo:
-                np.add(column, group, out=out[lo:mid].reshape(K, q_hi - q_lo))
-            np.add(group[:t], base + K * d, out=out[mid:hi])
-    else:
-        # destination of each low position in row k: its group's start,
-        # plus its rank in Q_L, plus k times |Q_L|
-        where = np.repeat(new_bounds[:-1] - low_end[:-1], m) + np.arange(d)
-        stride = np.repeat(m, m)
-        last = q <= n - K * d
-        for _ in range(K):
-            out[where] = q
-            where += stride
-            q += d
-        # q is now Q + Kd; entries not in `last` are past n, maybe past the
-        # dtype's range, and are not read
-        out[where[last]] = q[last]
+    # the first group, row k = Q_0 + kd, by doubling copies; its first
+    # column Q_0[0] + kd then offsets every other group's rows
+    m0 = int(m[0])
+    first = out[:K * m0].reshape(K, m0)
+    first[0] = q[:m0]
+    filled = 1
+    while filled < K:
+        chunk = min(filled, K - filled)
+        np.add(first[:chunk], filled * d, out=first[filled:filled + chunk])
+        filled += chunk
+    np.add(q[:t[0]], K * d, out=out[K * m0:new_bounds[1]])
+    column = first[:, :1]
+    base = int(q[0])
+    q -= base
+    # runs of consecutive later groups alike in (m, t) each own one
+    # row-major block of the output: (G, K, m) rows, then (G, t) tails
+    change = np.diff(m) | np.diff(t)
+    change[:1] = 1
+    edges = np.append(np.flatnonzero(change) + 1, m.size).tolist()
+    for g0, g1 in zip(edges[:-1], edges[1:]):
+        width, tail = int(m[g0]), int(t[g0])
+        block = out[new_bounds[g0]:new_bounds[g1]].reshape(g1 - g0, K * width + tail)
+        group = q[q_bounds[g0]:q_bounds[g1]].reshape(g1 - g0, 1, width)
+        np.add(column, group, out=block[:, :K * width].reshape(g1 - g0, K, width))
+        np.add(group[:, 0, :tail], base + K * d, out=block[:, K * width:])
     return out, new_bounds

@@ -5,7 +5,7 @@ lines; every tolerance and count is pinned here.
 """
 
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -265,3 +265,26 @@ def test_criterion_9_linear_scaling_with_many_components(policy):
     ok = ok and medians[10**7] < 0.15
     _line(9, f"{policy}: slope {report.slope:.2f}, 1e7 median "
              f"{medians[10**7] * 1e3:.0f}ms", ok)
+
+
+@pytest.mark.parametrize("shape, offsets_of", [
+    ("c>K", lambda n: [2 * isqrt(n)]),
+    ("wide", lambda n: [2 * n // 5 + 1, 3 * n // 5 + 1]),
+])
+def test_criterion_9_linear_scaling_on_beta_undo_shapes(shape, offsets_of):
+    # rows no bench policy draws: one offset above sqrt(n), so the top beta
+    # undo has more groups than rows, and a c = 2 row of few wide groups
+    sizes = [10**5, 10**6, 10**7]
+    medians = []
+    for n in sizes:
+        row = row_from_offsets(n, offsets_of(n))
+        compute_fnf(row)  # warm-up, excluded from timing
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            compute_fnf(row)
+            times.append(time.perf_counter() - start)
+        medians.append(float(np.median(times)))
+    slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
+    ok = slope <= 1.45 and medians[-1] < 0.15
+    _line(9, f"{shape}: slope {slope:.2f}, 1e7 median {medians[-1] * 1e3:.0f}ms", ok)

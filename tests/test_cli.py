@@ -784,17 +784,28 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "budget" in err and "45150" in err, err
 
-    def test_two_class_row_at_order_1e6(self):
-        # n = 1e6, offset 2 plus 19 even offsets (seed 7): two blocks
-        offsets = generate_offsets(10**6, 20, "two-class", np.random.default_rng(7))
+    @staticmethod
+    def _verify_at_order_1e6(offsets, c):
         row = row_from_offsets(10**6, offsets)
         start = time.perf_counter()
         report = verify_row(row)
         elapsed = time.perf_counter() - start
         assert [(name, ok) for name, ok, _ in report.checks] == [
             ("partition_matches_oracle", True), ("reconstruction_exact", True)], report.checks
-        assert report.component_count == 2
+        assert report.component_count == c
         assert elapsed < 2.0, f"verify took {elapsed:.2f} s"
+
+    def test_two_class_row_at_order_1e6(self):
+        # n = 1e6, offset 2 plus 19 even offsets (seed 7): two blocks
+        offsets = generate_offsets(10**6, 20, "two-class", np.random.default_rng(7))
+        self._verify_at_order_1e6(offsets, 2)
+
+    @pytest.mark.parametrize("offsets, c", [
+        ([2000], 2000),  # 2 sqrt(n): the top beta undo has more groups than rows
+        ([400001, 600001], 2),  # few wide groups
+    ])
+    def test_beta_undo_shapes_at_order_1e6(self, offsets, c):
+        self._verify_at_order_1e6(offsets, c)
 
 
 class TestBenchCommand:

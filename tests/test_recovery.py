@@ -138,7 +138,9 @@ def _assert_matches_argsort(n, offsets):
 
 
 def _replay_paths(trace):
-    """The branches the group replay takes on ``trace``, in replay order."""
+    """The undos the group replay runs on ``trace``, in replay order: a beta
+    undo is named by its shape, ``c`` folded groups against ``K`` rows and
+    whether ``r`` is zero."""
     if trace.component_count == 1:
         return ["shortcut"]
     paths, groups = [], trace.n_final
@@ -148,21 +150,33 @@ def _replay_paths(trace):
             paths.append("alpha")
         else:
             K, r = divmod(step.n_before, step.d)
-            loop = "groups" if groups <= K else "rows"
-            paths.append(f"{loop}, r{'=0' if r == 0 else '>0'}")
+            paths.append(f"c{'<=' if groups <= K else '>'}K, r{'=0' if r == 0 else '>0'}")
     return paths
+
+
+def _assert_beta_counts_do_not_increase(trace):
+    """Before each beta undo, ``m_L = |Q_L|`` and ``t_L = |Q_L ∩ [1, r]|``
+    do not increase along the groups; the undo's run count rests on it."""
+    for i, step in enumerate(trace.steps):
+        if step.kind != BETA:
+            continue
+        perm, bounds = recover_blocks(ReductionTrace(trace.steps[i + 1:], trace.n_final))
+        r = step.n_before % step.d
+        m = np.add.reduceat(perm <= step.d, bounds[:-1], dtype=np.int64)
+        t = np.add.reduceat(perm <= r, bounds[:-1], dtype=np.int64)
+        assert np.all(np.diff(m) <= 0) and np.all(np.diff(t) <= 0), (step, m, t)
 
 
 class TestRecoverBlocks:
     """The group replay equals a stable sort of the labels, dtype included."""
 
     @pytest.mark.parametrize("n, offsets, path", [
-        (1000, [2, 4], "groups, r=0"),
-        (1001, [2], "groups, r>0"),
-        (21, [7], "rows, r=0"),
-        (20, [7], "rows, r>0"),
+        (1000, [2, 4], "c<=K, r=0"),
+        (1001, [2], "c<=K, r>0"),
+        (21, [7], "c>K, r=0"),
+        (20, [7], "c>K, r>0"),
     ])
-    def test_each_beta_branch(self, n, offsets, path):
+    def test_each_beta_shape(self, n, offsets, path):
         res = _assert_matches_argsort(n, offsets)
         assert path in _replay_paths(res.trace)
 
@@ -186,29 +200,27 @@ class TestRecoverBlocks:
             assert res.permutation.tolist() == list(range(1, n + 1))
             assert res.block_bounds.tolist() == list(range(n + 1))
 
-    def test_rows_loop_near_the_top_of_the_index_dtype(self):
-        # n = 127 with int8 positions, 1-based: the top position is the
-        # dtype's maximum, and after the last row Q + Kd passes it for the
-        # positions not copied again, which must not be read
+    def test_more_groups_than_rows_near_the_top_of_the_index_dtype(self):
+        # n = 127 with int8 positions, 1-based: the tails Q + Kd of the
+        # groups reach position 127, the dtype's maximum
         folded, _ = reduce(OffsetSet(27, [20]))
         perm, bounds = recover_blocks(folded)
         out, out_bounds = _unfold_groups(perm.astype(np.int8), bounds, 127, 20, np.int8)
         res = _assert_matches_argsort(127, [20])
-        assert "rows, r>0" in _replay_paths(res.trace)
+        assert "c>K, r>0" in _replay_paths(res.trace)
         assert out.max() == np.iinfo(np.int8).max
         assert out.tolist() == res.permutation.tolist()
         assert out_bounds.tolist() == res.block_bounds.tolist()
 
-    def test_groups_loop_near_the_top_of_the_index_dtype(self):
+    def test_fewer_groups_than_rows_near_the_top_of_the_index_dtype(self):
         # the doubling rows and the tail of the last group reach position
         # 127, the int8 maximum
         folded, _ = reduce(OffsetSet(3, [2]))
         perm, bounds = recover_blocks(folded)
         out, out_bounds = _unfold_groups(perm.astype(np.int8), bounds, 127, 2, np.int8)
         res = _assert_matches_argsort(127, [2])
-        assert _replay_paths(res.trace)[-1] == "groups, r>0"
+        assert _replay_paths(res.trace)[-1] == "c<=K, r>0"
         assert out.tolist() == res.permutation.tolist()
-        assert out_bounds.tolist() == res.block_bounds.tolist()
         assert out_bounds.tolist() == res.block_bounds.tolist()
 
     def test_every_offset_set_up_to_order_14(self):
@@ -218,12 +230,14 @@ class TestRecoverBlocks:
                 res = _assert_matches_argsort(
                     n, [s for s in range(1, n) if mask >> (s - 1) & 1])
                 seen.update(_replay_paths(res.trace))
-        assert seen == {"shortcut", "alpha", "groups, r=0", "groups, r>0",
-                        "rows, r=0", "rows, r>0"}
+                _assert_beta_counts_do_not_increase(res.trace)
+        assert seen == {"shortcut", "alpha", "c<=K, r=0", "c<=K, r>0",
+                        "c>K, r=0", "c>K, r>0"}
 
     def test_acceptance_sweep(self):
         for n, offsets in sweep_instances():
-            _assert_matches_argsort(n, offsets)
+            res = _assert_matches_argsort(n, offsets)
+            _assert_beta_counts_do_not_increase(res.trace)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 3000), stride=st.integers(1, 80),

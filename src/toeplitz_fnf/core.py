@@ -66,6 +66,9 @@ class FirstRow:
         return np.array_equal(self.entries, other.entries)
 
     def __repr__(self) -> str:
+        # past numpy's summarisation threshold a repr names only the order
+        if self.entries.size > np.get_printoptions()["threshold"]:
+            return f"FirstRow(n={self.n})"
         return f"FirstRow({self.entries.tolist()!r})"
 
 
@@ -126,6 +129,8 @@ class OffsetSet:
         return self.n == other.n and np.array_equal(self.offsets, other.offsets)
 
     def __repr__(self) -> str:
+        if self.offsets.size > np.get_printoptions()["threshold"]:
+            return f"OffsetSet(n={self.n}, k={self.offsets.size})"
         return f"OffsetSet(n={self.n}, offsets={self.offsets.tolist()!r})"
 
 

@@ -63,9 +63,10 @@ proportional to ``n``.
 The replay holds each position above plus one (``Q_L`` is the part of a
 group at most ``d``), so its result is the 1-based permutation with no
 final pass, and no step allocates an ``n``-sized array besides its output.
-It fills the first group's ``K`` rows by doubling copies; that group's
-first column then holds the row offsets ``Q_0[0] + kd``, to which each
-run adds its groups' ``Q_L - Q_0[0]`` in one broadcast.
+One periodic fill by doubling copies serves both beta undos: it extends
+the labels with period ``d``, and ``Q_0`` to the first group's rows and
+tail with period ``m_0`` and step ``d``; that group's first column
+``Q_0[0] + kd`` then offsets each run's ``Q_L - Q_0[0]`` in one broadcast.
 With one component the labels are a constant, read-only view.
 """
 
@@ -116,21 +117,19 @@ class ComponentIndexSequence:
         return f"ComponentIndexSequence(n={self.n}, c={self.c})"
 
 
-def _extend_periodic(out: np.ndarray, start: int, d: int) -> None:
-    """Fill ``out[start:]`` with ``out[p] = out[p - d]``.
+def _fill_periodic(out: np.ndarray, start: int, period: int, step: int) -> None:
+    """Fill ``out[start:]`` so that ``out[p] = out[p - period] + step``.
 
-    Block copies of doubling size keep this a handful of memcpys instead of
-    an element-wise loop; every intermediate copy length is a multiple of
-    ``d``, so periodicity is preserved.
+    Needs ``period <= start``.  Each copy takes the whole periods written so
+    far and shifts them by their count times ``step``, so the fill is a few
+    copies of doubling size instead of an element-wise loop.
     """
-    tail = out.size - start
-    first = min(d, tail)
-    out[start:start + first] = out[start - d:start - d + first]
-    filled = first
-    while filled < tail:
-        chunk = min(filled, tail - filled)
-        out[start + filled:start + filled + chunk] = out[start:start + chunk]
-        filled += chunk
+    src, done = start - period, start
+    while done < out.size:
+        # out[src:done] holds whole periods
+        width = min(done - src, out.size - done)
+        np.add(out[src:src + width], (done - src) // period * step, out=out[done:done + width])
+        done += width
 
 
 def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
@@ -160,7 +159,7 @@ def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
             fresh += width
         else:
             out[:step.n_after] = rho
-            _extend_periodic(out, step.n_after, step.d)
+            _fill_periodic(out, step.n_after, step.d, 0)
         rho = out
 
     rho.setflags(write=False)
@@ -217,18 +216,12 @@ def _unfold_groups(perm: np.ndarray, bounds: np.ndarray, n: int, d: int,
     q_bounds = np.concatenate(([0], np.cumsum(m)))
     new_bounds = np.concatenate(([0], np.cumsum(K * m + t)))
     out = np.empty(n, dtype=dtype)
-    # the first group, row k = Q_0 + kd, by doubling copies; its first
-    # column Q_0[0] + kd then offsets every other group's rows
+    # the first group, rows Q_0 + kd then its tail, extends Q_0 with period
+    # m_0 and step d; its first column Q_0[0] + kd offsets every other group
     m0 = int(m[0])
-    first = out[:K * m0].reshape(K, m0)
-    first[0] = q[:m0]
-    filled = 1
-    while filled < K:
-        chunk = min(filled, K - filled)
-        np.add(first[:chunk], filled * d, out=first[filled:filled + chunk])
-        filled += chunk
-    np.add(q[:t[0]], K * d, out=out[K * m0:new_bounds[1]])
-    column = first[:, :1]
+    out[:m0] = q[:m0]
+    _fill_periodic(out[:new_bounds[1]], m0, m0, d)
+    column = out[:K * m0:m0, None]
     base = int(q[0])
     q -= base
     # runs of consecutive later groups alike in (m, t) each own one

@@ -825,11 +825,16 @@ class TestBenchCommand:
     def test_scientific_sizes_accepted(self, capsys):
         assert run(["bench", "--sizes", "1e3,2e3", "--reps", "1"]) == EXIT_OK
         assert "n=1000" in capsys.readouterr().out
+        # an empty token between commas is skipped
+        assert run(["bench", "--sizes", "1e2,,1e3", "--reps", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "n=100 " in out and "n=1000" in out and out.count("median=") == 2
 
     def test_sizes_must_ascend(self, capsys):
         assert run(["bench", "--sizes", "2000,1000"]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("sizes", ["inf", "1e400", "nan", "0", "-5", "1.7,2.9"])
+    @pytest.mark.parametrize("sizes", ["inf", "1e400", "nan", "0", "-5", "1.7,2.9", ",",
+                                       "1e2,abc"])
     def test_sizes_must_be_whole_and_positive(self, sizes, capsys):
         assert run(["bench", "--sizes", sizes, "--reps", "1"]) == EXIT_INPUT
         assert "size" in capsys.readouterr().err
@@ -844,6 +849,10 @@ class TestBenchCommand:
             run_bench([1], policy="bogus", reps=1)
         with pytest.raises(InputError, match="policy"):
             generate_offsets(1, 3, "bogus", np.random.default_rng(0))
+
+    def test_reps_must_be_positive(self, capsys):
+        assert run(["bench", "--sizes", "10", "--reps", "0"]) == EXIT_INPUT
+        assert "reps must be at least 1" in capsys.readouterr().err
 
     def test_seed_must_be_nonnegative(self, capsys):
         assert run(["bench", "--sizes", "10", "--reps", "1", "--seed", "-1"]) == EXIT_INPUT

@@ -54,6 +54,13 @@ class TestFirstRow:
     def test_equality(self):
         assert FirstRow([0, 1]) == FirstRow([0.0, 1.0])
         assert FirstRow([0, 1]) != FirstRow([0, 2])
+        assert FirstRow([0, 1]) != [0.0, 1.0]
+        assert FirstRow([0, 1]).__eq__([0.0, 1.0]) is NotImplemented
+
+    def test_repr_summarises_past_numpys_threshold(self):
+        assert repr(FirstRow([0, 1.5])) == "FirstRow([0.0, 1.5])"
+        assert repr(FirstRow(np.ones(1000))) == f"FirstRow({[1.0] * 1000!r})"
+        assert repr(FirstRow(np.ones(1001))) == "FirstRow(n=1001)"
 
 
 class TestOffsetSet:
@@ -101,6 +108,22 @@ class TestOffsetSet:
             OffsetSet(9, [3, 3])
         with pytest.raises(ValueError):
             OffsetSet(9, [4, 2])
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            OffsetSet(10, [[1, 2]])
+
+    def test_equality(self):
+        assert OffsetSet(10, [2, 5]) == OffsetSet(10, np.array([2, 5]))
+        assert OffsetSet(10, [2, 5]) != OffsetSet(11, [2, 5])
+        assert OffsetSet(10, [2, 5]) != [2, 5]
+        assert OffsetSet(10, [2, 5]).__eq__([2, 5]) is NotImplemented
+
+    def test_repr_summarises_past_numpys_threshold(self):
+        assert repr(OffsetSet(10, [2, 5])) == "OffsetSet(n=10, offsets=[2, 5])"
+        offsets = list(range(1, 1001))
+        assert repr(OffsetSet(1002, offsets)) == f"OffsetSet(n=1002, offsets={offsets!r})"
+        assert repr(OffsetSet(1002, range(1, 1002))) == "OffsetSet(n=1002, k=1001)"
 
     def test_membership(self):
         s = OffsetSet(10, [2, 5, 9])

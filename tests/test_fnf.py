@@ -200,6 +200,19 @@ class TestComputeFnf:
         assert np.shares_memory(block.first_row, first_row)
         assert np.shares_memory(block.vertices, vertices)
 
+    def test_block_and_result_check_their_sizes(self):
+        with pytest.raises(ValueError, match="block size"):
+            FnfBlock(size=2, first_row=[0.0], vertices=[1, 2])
+        res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
+        fields = dict(row=res.row, cis=res.cis, permutation=res.permutation,
+                      block_bounds=res.block_bounds, trace=res.trace)
+        with pytest.raises(ValueError, match="length n"):
+            FnfResult(**{**fields, "permutation": res.permutation[:-1]})
+        bounds = res.block_bounds.copy()
+        bounds[-1] -= 1
+        with pytest.raises(ValueError, match="cut 0..n"):
+            FnfResult(**{**fields, "block_bounds": bounds})
+
     def test_result_freezes_a_view_of_the_callers_arrays(self):
         res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
         permutation, bounds = res.permutation.copy(), res.block_bounds.copy()

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from toeplitz_fnf import (ComponentIndexSequence, OffsetSet, compute_fnf, recover_cis, reduce,
                           row_from_offsets)
-from toeplitz_fnf.recovery import _unfold_groups, recover_blocks
+from toeplitz_fnf.recovery import _fill_periodic, _unfold_groups, recover_blocks
 from toeplitz_fnf.reduction import ALPHA, BETA, ReductionStep, ReductionTrace
 
 import reference
@@ -91,6 +91,10 @@ class TestComponentIndexSequence:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             ComponentIndexSequence(n=3, c=1, rho=np.array([1, 1]))
+        with pytest.raises(ValueError, match="order"):
+            ComponentIndexSequence(n=0, c=1, rho=np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="component count"):
+            ComponentIndexSequence(n=3, c=4, rho=np.array([1, 1, 1]))
 
     def test_rejects_label_gap(self):
         with pytest.raises(ValueError):
@@ -101,6 +105,8 @@ class TestComponentIndexSequence:
             ComponentIndexSequence(n=3, c=2, rho=np.array([0, 1, 2]))
         with pytest.raises(ValueError):
             ComponentIndexSequence(n=3, c=2, rho=np.array([1, 2, 3]))
+        with pytest.raises(ValueError, match="lie in"):
+            ComponentIndexSequence(n=3, c=1, rho=np.array([1.5, 1, 1]))
 
     def test_partition_groups_sorted(self):
         cis = ComponentIndexSequence(n=5, c=2, rho=np.array([2, 1, 2, 1, 2]))
@@ -113,6 +119,20 @@ class TestComponentIndexSequence:
         assert a.flags.writeable and not cis.rho.flags.writeable
         a[0] = 2
         assert cis.rho.tolist() == [1, 2, 1]
+
+
+@pytest.mark.parametrize("step", [0, 3])
+def test_fill_periodic_matches_a_per_entry_loop(step):
+    for size in range(13):
+        for start in range(1, size + 1):
+            for period in range(1, start + 1):
+                out = np.full(size, -1, dtype=np.int64)
+                out[:start] = np.arange(start) * 7 % 5
+                expected = out.tolist()
+                for p in range(start, size):
+                    expected[p] = expected[p - period] + step
+                _fill_periodic(out, start, period, step)
+                assert out.tolist() == expected, (size, start, period)
 
 
 def _argsort_blocks(cis):

@@ -400,6 +400,8 @@ class TestStepAndTraceInvariants:
     def test_trace_chaining_enforced(self):
         good = (ReductionStep(BETA, 31, 6), ReductionStep(ALPHA, 7, 5))
         ReductionTrace(good, 4)
+        with pytest.raises(ValueError, match="at least 1"):
+            ReductionTrace((), 0)
         with pytest.raises(ValueError):
             ReductionTrace(good, 5)
         with pytest.raises(ValueError):

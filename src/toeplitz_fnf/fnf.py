@@ -5,6 +5,9 @@ Each component of the graph of a symmetric Toeplitz first row, relabelled
 Toeplitz matrix whose first row reads the original at ``n_l - n_1``.  Cut at
 the block bounds, the trace replay's permutation, which lists the vertices
 component by component, is the decomposition; blocks are built when read.
+When ``n`` is at least the sum of the two largest offsets, Fine and Wilf's
+periodicity lemma makes every component a residue class modulo the offsets'
+gcd, so a block row is most often a strided view of the input row.
 """
 
 from __future__ import annotations
@@ -99,8 +102,8 @@ class BlockViews(Sequence):
 
     Each access builds one :class:`FnfBlock` whose ``vertices`` is a slice
     of the permutation and whose ``first_row`` reads the input row at
-    ``vertices - vertices[0]``: a slice of it when the vertices are
-    consecutive, a gather otherwise.
+    ``vertices - vertices[0]``: a slice of it for consecutive vertices, a
+    strided view for a residue class, and a gather otherwise.
     """
 
     __slots__ = ("_result",)
@@ -123,12 +126,19 @@ class BlockViews(Sequence):
         lo, hi = self._result.block_bounds[k:k + 2].tolist()
         vertices = self._result.permutation[lo:hi]
         entries = self._result.row.entries
-        # vertices increase, so equal spans mean a run of consecutive ones
-        if vertices[-1] - vertices[0] == hi - lo - 1:
-            first_row = entries[:hi - lo]
+        # vertices increase, so a span of (size - 1) * step is an arithmetic
+        # progression when every gap is step; the gaps are read only for step > 1
+        span = int(vertices[-1] - vertices[0])
+        step = span // (hi - lo - 1) if hi - lo > 1 else 1
+        if span == (hi - lo - 1) * step and (step == 1 or np.all(np.diff(vertices) == step)):
+            first_row = entries[:span + 1:step]  # a read-only view of the row
         else:
             first_row = entries[vertices - vertices[0]]
-        return FnfBlock(size=hi - lo, first_row=first_row, vertices=vertices)
+            first_row.setflags(write=False)
+        # both arrays have the block size by construction: the constructor's checks are skipped
+        block = FnfBlock.__new__(FnfBlock)
+        block.__dict__.update(size=hi - lo, first_row=first_row, vertices=vertices)
+        return block
 
 
 def compute_fnf(row: FirstRow) -> FnfResult:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toeplitz_fnf import FirstRow, FnfBlock, FnfResult, compute_fnf, row_from_offsets
+from toeplitz_fnf import (ComponentIndexSequence, FirstRow, FnfBlock, FnfResult, compute_fnf,
+                          row_from_offsets)
 
 import reference
 from conftest import random_instance, sweep_instances
@@ -49,6 +50,34 @@ class TestExtractBlocks:
                 anchor = b.vertices[0]
                 for pos, v in enumerate(b.vertices):
                     assert b.first_row[pos] == row.entries[v - anchor]
+
+    def test_unequal_gaps_with_a_progressions_span_are_gathered(self):
+        # {1, 3, 4, 7} spans 6 = 3 * 2 but is no progression; a strided slice
+        # would read a_4 where a_3 belongs
+        row = FirstRow(np.arange(1.0, 8.0))
+        res = FnfResult(row=row, cis=ComponentIndexSequence(7, 2, [1, 2, 1, 1, 2, 2, 1]),
+                        permutation=np.array([1, 3, 4, 7, 2, 5, 6]),
+                        block_bounds=np.array([0, 4, 7]), trace=compute_fnf(row).trace)
+        block = res.blocks[0]
+        assert block.first_row.tolist() == [1.0, 3.0, 4.0, 7.0]
+        assert not np.shares_memory(block.first_row, row.entries)
+        assert not block.first_row.flags.writeable
+        assert res.blocks[1].first_row.tolist() == [1.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("entries, step", [
+        ([4.0, 0, 2, 0, 0, 0, 3, 0, 0, 0], 2),     # odd and even vertices
+        ([5.0, 0, 0, 0, 2, 0, 0, 0], 4),           # pairs such as {1, 5}
+    ])
+    def test_residue_classes_are_strided_views(self, entries, step):
+        row = FirstRow(entries)
+        blocks = compute_fnf(row).blocks
+        assert len(blocks) == step
+        for b in blocks:
+            assert np.diff(b.vertices).tolist() == [step] * (b.size - 1)
+            assert b.first_row.tolist() == row.entries[::step][:b.size].tolist()
+            assert np.shares_memory(b.first_row, row.entries)
+            assert b.first_row.strides == (step * row.entries.itemsize,)
+            assert not b.first_row.flags.writeable and not b.vertices.flags.writeable
 
 
 class TestPermutationFromCis:
@@ -268,6 +297,12 @@ def _assert_canonical_labels(n, offsets):
     canonical = sorted((sorted(p) for p in parts), key=lambda p: (-len(p), p[0]))
     blocks = res.blocks
     assert [b.vertices.tolist() for b in blocks] == canonical
+    # each block row reads the row at v - v[0], as a view of it exactly
+    # when the vertices are an arithmetic progression
+    for b in blocks:
+        v, gaps = b.vertices, np.diff(b.vertices)
+        assert np.array_equal(b.first_row, res.row.entries[v - v[0]])
+        assert np.shares_memory(b.first_row, res.row.entries) == bool(np.all(gaps == gaps[:1]))
     sizes = np.diff(res.block_bounds)
     rho = res.cis.rho
     assert rho[res.permutation - 1].tolist() == np.repeat(np.arange(1, sizes.size + 1),

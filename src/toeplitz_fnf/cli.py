@@ -20,6 +20,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,8 +57,8 @@ MAX_BENCH_SIZE = 10**8
 #: Entries formatted, or input bytes read, per vectorised pass; it bounds the
 #: passes' temporaries.
 CHUNK = 1 << 16
-#: Bytes of output text decoded at a time; with ``CHUNK`` it bounds each write.
-SPAN = 4 * CHUNK
+#: Most entries the writers format in one pass; it bounds each write.
+PASS = CHUNK // 8
 
 
 class InputError(ValueError):
@@ -289,77 +290,57 @@ def _row_tokens(entries: np.ndarray, sep: str):
     return ids, write
 
 
-def _text(values: np.ndarray, write, bounds: np.ndarray, sep: str):
-    """The values' texts laid end to end, and where each block's text starts, then the end.
-
-    ``write`` formats ``CHUNK`` values at a time (see :func:`_decimal`), each
-    text followed by ``sep``, whose first byte is 0 after a block's last entry.
-    Block ``k``'s text, that ``sep`` included, is ``text[ends[k]:ends[k + 1]]``.
-    """
-    text, ends, last = bytearray(), [np.zeros(1, dtype=np.int64)], bounds[1:] - 1
-    for at in range(0, values.size, CHUNK):
-        data, count = write(values[at:at + CHUNK])
-        here = last[np.searchsorted(last, at):np.searchsorted(last, at + count.size)]
-        stop = np.cumsum(count)[here - at]
-        data[stop - len(sep)] = 0
-        ends.append(len(text) + stop)
-        text.extend(data)
-    return memoryview(text), np.concatenate(ends)
+def _numbers(values: np.ndarray, write, sep: str):
+    """The text ``write`` makes of ``values``, ``PASS`` at a time, without the last ``sep``."""
+    for at in range(0, values.size, PASS):
+        data, _ = write(values[at:at + PASS])
+        yield str(data[:-len(sep)] if at + PASS >= values.size else data, "ascii")
 
 
-def _slices(text: memoryview, lo: int, hi: int):
-    """``text[lo:hi]`` decoded, ``SPAN`` bytes at a time."""
-    for at in range(lo, hi, SPAN):
-        yield str(text[at:min(at + SPAN, hi)], "ascii")
+def _body(result: FnfResult, sep: str, joiner: str, batch):
+    """The blocks' text, ``joiner`` between blocks; returns the permutation's text in pieces.
 
-
-def _labels(rho: np.ndarray, sep: str):
-    """The labels' text, ``CHUNK`` labels at a time."""
-    for at in range(0, rho.size, CHUNK):
-        data, _ = _decimal(rho[at:at + CHUNK], sep)
-        yield str(data[:-len(sep)] if at + CHUNK >= rho.size else data, "ascii")
-
-
-def _body(result: FnfResult, sep: str, joiner: str, middle: str, batch):
-    """The blocks' text, ``joiner`` between blocks, then ``middle`` and the permutation's.
-
-    The vertex texts, which are the permutation's, and the row texts are
-    formatted once (see :func:`_text`).  The blocks go a pass at a time: at
-    most ``CHUNK`` blocks and ``SPAN`` bytes of each text, each decoded once.
+    The blocks go in passes of whole blocks holding at most ``PASS`` entries.
+    A pass formats its vertices and its rows once each (see :func:`_decimal`
+    and :func:`_row_tokens`), with a 0 byte for the first separator byte
+    after each block's last entry, and decodes and splits each text once.
     ``batch(k, sizes, verts, rows)`` formats a pass whose first block is the
-    ``k``-th (0-based), from its blocks' sizes and texts.  A block with more
-    text than a pass goes alone, its texts in slices where ``batch`` put the
-    markers ``\\1`` and ``\\2``.
+    ``k``-th (0-based), from its blocks' sizes and texts.  A longer block
+    goes alone, its texts streamed where ``batch`` put the markers ``\\1``
+    and ``\\2``.  The vertex texts are kept: they are the permutation's.
     """
     perm, bounds = result.permutation, result.block_bounds
-    sizes = np.diff(bounds)
     token, write_row = _row_tokens(result.row.entries, sep)
-    # a block's row is read at each vertex's distance from the block's first vertex
-    row_text = _text(token[perm - np.repeat(perm[bounds[:-1]], sizes)], write_row, bounds, sep)
-    texts = _text(perm, lambda chunk: _decimal(chunk, sep), bounds, sep), row_text
-    last_sep = "\0" + sep[1:]  # the separator after a block's last entry (see _text)
-    start = 0
-    while start < sizes.size:
-        stop = min([start + CHUNK] + [int(ends.searchsorted(ends[start] + SPAN, "right")) - 1
-                                      for _, ends in texts])
+    write_vertices = partial(_decimal, sep=sep)
+    last_sep = "\0" + sep[1:]
+    permutation, start = [], 0
+    while start < bounds.size - 1:
         if start:
             yield joiner
-        if stop > start:
-            verts, rows = (str(text[ends[start]:ends[stop]], "ascii").split(last_sep)
-                           for text, ends in texts)
-            yield joiner.join(batch(start, memoryview(sizes[start:stop]), verts, rows))
+        lo = bounds[start]
+        stop = max(start + 1, int(bounds.searchsorted(lo + PASS, "right")) - 1)
+        verts = perm[lo:bounds[stop]]
+        if verts.size <= PASS:
+            sizes = np.diff(bounds[start:stop + 1])
+            # a block's row is read at each vertex's distance from the block's first vertex
+            rows = token[verts - np.repeat(perm[bounds[start:stop]], sizes)]
+            last, texts = np.cumsum(sizes) - 1, []
+            for data, count in (write_vertices(verts), write_row(rows)):
+                data[np.cumsum(count)[last] - len(sep)] = 0
+                texts.append(str(data, "ascii"))
+            permutation.append(texts[0])
+            yield joiner.join(batch(start, memoryview(sizes), *(t.split(last_sep) for t in texts)))
         else:
-            stop = start + 1
-            spans = {mark: (text, ends[start], ends[stop] - len(sep))
-                     for mark, (text, ends) in zip("\1\2", texts)}
-            one, = batch(start, sizes[start:stop], ["\1"], ["\2"])
+            texts = list(_numbers(verts, write_vertices, sep))
+            permutation += texts + [sep]
+            streams = {"\1": texts, "\2": _numbers(
+                verts, lambda chunk: write_row(token[chunk - verts[0]]), sep)}
+            one, = batch(start, [verts.size], ["\1"], ["\2"])
             for piece in re.split("([\1\2])", one):
-                yield from _slices(*spans[piece]) if piece in spans else (piece,)
+                yield from streams.get(piece, (piece,))
         start = stop
-    yield middle
-    text, ends = texts[0]
-    for piece in _slices(text, 0, ends[-1] - len(sep)):
-        yield piece.replace("\0", sep[0])
+    permutation[-1] = permutation[-1][:-len(sep)]
+    return (piece.replace("\0", sep[0]) for piece in permutation)
 
 
 def _emit(pieces, out):
@@ -378,9 +359,11 @@ def _json_batch(k, sizes, verts, rows):
 
 def _json_pieces(result: FnfResult, include_trace: bool):
     yield f'{{"n": {result.n}, "component_count": {result.component_count}, "cis": ['
-    yield from _labels(result.cis.rho, ", ")
+    yield from _numbers(result.cis.rho, partial(_decimal, sep=", "), ", ")
     yield '], "blocks": ['
-    yield from _body(result, ", ", ", ", '], "permutation": [', _json_batch)
+    permutation = yield from _body(result, ", ", ", ", _json_batch)
+    yield '], "permutation": ['
+    yield from permutation
     yield "]"
     if include_trace:
         steps = [{"kind": s.kind, "n_before": s.n_before, "n_after": s.n_after,
@@ -413,9 +396,11 @@ def _text_batch(k, sizes, verts, rows):
 
 def _text_pieces(result: FnfResult, include_trace: bool):
     yield f"n {result.n}\ncomponents {result.component_count}\n"
-    yield from _body(result, ",", "\n", "\npermutation ", _text_batch)
+    permutation = yield from _body(result, ",", "\n", _text_batch)
+    yield "\npermutation "
+    yield from permutation
     yield "\ncis "
-    yield from _labels(result.cis.rho, ",")
+    yield from _numbers(result.cis.rho, partial(_decimal, sep=","), ",")
     yield "\n"
     if include_trace:
         yield "".join(f"trace {s.kind} n={s.n_before}->{s.n_after} d={s.d} c={s.c}\n"

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -395,6 +396,13 @@ def _long_tokens_row(n, seed):
     return (rng.integers(1, 10**6, size=n) * 1e294).tolist()
 
 
+def _two_class_row(n):
+    """Offsets {2, 6, 1000}: the odd and the even vertices are the two blocks."""
+    entries = np.zeros(n)
+    entries[[0, 2, 6, 1000]] = [1.5, 2.0, -0.25, 7.0]
+    return entries.tolist()
+
+
 WRITER_ROWS = {
     "golden-31": _golden_31(),
     "weighted-7": [0.0, 0.0, 3.0, 0.0, 8.0, 0.0, 9.0],
@@ -409,10 +417,14 @@ WRITER_ROWS = {
     "dense-2-chunks+7": _dense_row(2 * cli.CHUNK + 7, 13),
     # one block whose texts each span several passes
     "one-block-long-tokens": _long_tokens_row(cli.CHUNK, 17),
+    # two blocks of exactly PASS entries, each a pass, and of PASS + 1, each streamed
+    "two-class-2-passes": _two_class_row(2 * cli.PASS),
+    "two-class-2-passes+2": _two_class_row(2 * cli.PASS + 2),
 }
 
 #: The most text one write may hold, whatever the order: a pass holds at most
-#: ``CHUNK`` blocks, with headers of about 50 characters, and ``2 * SPAN`` of text.
+#: ``PASS`` entries, each with a vertex of about 10 characters, a row token of
+#: at most about 310 (an integral float near 1e308) and a block header of about 50.
 WRITE_BOUND = 64 * cli.CHUNK
 
 
@@ -456,6 +468,12 @@ class TestWriterBytes:
                 assert "".join(stdout.writes) == want, argv
                 assert max(map(len, stdout.writes)) <= WRITE_BOUND, argv
 
+    def test_rows_at_the_pass_edge(self):
+        for name, size in (("two-class-2-passes", cli.PASS),
+                           ("two-class-2-passes+2", cli.PASS + 1)):
+            result = compute_fnf(FirstRow(WRITER_ROWS[name]))
+            assert np.diff(result.block_bounds).tolist() == [size, size]
+
     def test_rows_cut_into_several_blocks(self):
         assert compute_fnf(FirstRow(WRITER_ROWS["special-values"])).component_count == 2
         assert compute_fnf(FirstRow(WRITER_ROWS["clustered-3001"])).component_count > 1000
@@ -481,6 +499,41 @@ class TestWriterBytes:
         path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
         for fmt in ("json", "text"):
             assert run(["compute", "--trace", "--format", fmt, path]) == EXIT_OK
+
+
+class _CountingStream:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, piece):
+        self.length += len(piece)
+
+
+MEMORY_ROWS = {
+    "all-zero": [0.0] * (4 * cli.CHUNK),
+    "two-class": _two_class_row(4 * cli.CHUNK),
+    "one-block": row_from_offsets(4 * cli.CHUNK, [1]).entries.tolist(),
+    "clustered": _clustered_row(4 * cli.CHUNK, 19),
+}
+
+
+class TestWriterMemory:
+    @pytest.mark.parametrize("render", [cli.render_json, cli.render_text])
+    @pytest.mark.parametrize("name", sorted(MEMORY_ROWS))
+    def test_writer_holds_less_than_the_document(self, name, render):
+        # the writer keeps the permutation's text and one pass; a whole-document
+        # text, or both whole texts of the blocks, would take more than this
+        result = compute_fnf(FirstRow(MEMORY_ROWS[name]))
+        stream = _CountingStream()
+        tracemalloc.start()
+        try:
+            render(result, out=stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * stream.length, (peak, stream.length)
 
 
 class TestOptimisedInterpreter:

@@ -28,6 +28,10 @@ __all__ = [
     "compute_fnf",
 ]
 
+#: Gaps of a block's vertex list checked at a time when the block is read.
+_GAPS = 1 << 16
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array``, which stays writable in its caller's hands."""
     view = array.view()
@@ -127,10 +131,13 @@ class BlockViews(Sequence):
         vertices = self._result.permutation[lo:hi]
         entries = self._result.row.entries
         # vertices increase, so a span of (size - 1) * step is an arithmetic
-        # progression when every gap is step; the gaps are read only for step > 1
+        # progression when every gap is step; the gaps are read only for step > 1,
+        # _GAPS at a time, so that no block-sized temporary is made
         span = int(vertices[-1] - vertices[0])
         step = span // (hi - lo - 1) if hi - lo > 1 else 1
-        if span == (hi - lo - 1) * step and (step == 1 or np.all(np.diff(vertices) == step)):
+        if span == (hi - lo - 1) * step and (step == 1 or all(
+                (np.diff(vertices[at:at + _GAPS + 1]) == step).all()
+                for at in range(0, hi - lo - 1, _GAPS))):
             first_row = entries[:span + 1:step]  # a read-only view of the row
         else:
             first_row = entries[vertices - vertices[0]]

@@ -424,7 +424,8 @@ WRITER_ROWS = {
 
 #: The most text one write may hold, whatever the order: a pass holds at most
 #: ``PASS`` entries, each with a vertex of about 10 characters, a row token of
-#: at most about 310 (an integral float near 1e308) and a block header of about 50.
+#: at most about 310 (an integral float near 1e308) and a block header of about
+#: 50; the labels go ``CHUNK`` at a time, at most about 12 characters each.
 WRITE_BOUND = 64 * cli.CHUNK
 
 
@@ -490,6 +491,36 @@ class TestWriterBytes:
         long = compute_fnf(FirstRow(WRITER_ROWS["one-block-long-tokens"]))
         assert long.component_count == 1
         assert len(cli.render_text(long)) > 4 * WRITE_BOUND
+
+    def test_labels_go_a_chunk_at_a_time(self):
+        # the labels are written as they are formatted, CHUNK at a time; the
+        # vertex texts are held for the permutation and stay PASS at a time
+        result = compute_fnf(row_from_offsets(4 * cli.CHUNK, [2]))
+        for render, sep, before, after in ((cli.render_json, ", ", None, '], "blocks": ['),
+                                           (cli.render_text, ",", "\ncis ", "\n")):
+            stdout = _OnlyWriteStdout()
+            render(result, out=stdout)
+            writes = stdout.writes
+            lo = 1 + (writes.index(before) if before else 0)
+            labels = writes[lo:writes.index(after, lo)]
+            assert "".join(labels) == sep.join(map(str, result.cis.rho.tolist()))
+            assert len(labels) == 4, render
+            assert max(map(len, writes)) <= WRITE_BOUND
+
+    @pytest.mark.parametrize("nonzeros", [0, 2, cli.PASS // 64, cli.PASS // 64 + 1, cli.PASS])
+    def test_sparse_and_dense_row_passes_write_the_same_bytes(self, nonzeros):
+        # a pass with at most one nonzero token in 64 joins slices of a text of
+        # zero tokens, a denser one gathers bytes: both give the tokens joined
+        entries = np.zeros(cli.PASS)
+        at = [0, -1] if nonzeros == 2 else np.random.default_rng(nonzeros).permutation(
+            cli.PASS)[:nonzeros]
+        entries[at] = (np.arange(nonzeros) + 0.5) / 8  # no integral value: each token is its repr
+        ids, write = cli._row_tokens(entries, ", ")
+        for lo, hi in ((0, cli.PASS), (1, cli.PASS // 2), (cli.PASS - 3, cli.PASS)):
+            tokens = [("0" if x == 0 else repr(x)) + ", " for x in entries[lo:hi].tolist()]
+            data, count = write(ids[lo:hi])
+            assert str(data, "ascii") == "".join(tokens)
+            assert count.tolist() == list(map(len, tokens))
 
     def test_compute_reads_no_block_objects(self, tmp_path, monkeypatch):
         def refuse(self):
@@ -675,6 +706,39 @@ class TestComputeCommand:
         assert "internal error: synthetic fault" in err
         assert "Traceback (most recent call last)" in err
         assert "in broken" in err and "RuntimeError: synthetic fault" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("debug", ["", "1"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_write_failure_is_internal_error(self, tmp_path, unbuffered, debug):
+        # a buffered stdout fails at main()'s final flush, an unbuffered one in
+        # run(); either way one line, and the traceback only with FNF_DEBUG=1
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, FNF_DEBUG=debug,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "toeplitz_fnf", "compute", path],
+                                  stdout=full, stderr=subprocess.PIPE, env=env)
+        assert done.returncode == cli.EXIT_INTERNAL
+        lines = done.stderr.decode().splitlines()
+        assert lines[0] == "internal error: [Errno 28] No space left on device"
+        if debug:
+            assert lines[1] == "Traceback (most recent call last):"
+            assert lines[-1] == "OSError: [Errno 28] No space left on device"
+        else:
+            assert len(lines) == 1, lines
+
+    def test_main_flushes_the_whole_document(self, tmp_path, capsys):
+        # main() ends the process by os._exit, which flushes nothing itself
+        env = dict(os.environ, PYTHONUNBUFFERED="",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        path = _write(tmp_path, "row.txt", " ".join(["0"] * 3001))
+        for fmt in ("json", "text"):
+            assert run(["compute", "--trace", "--format", fmt, path]) == EXIT_OK
+            want = capsys.readouterr().out
+            done = subprocess.run([sys.executable, "-m", "toeplitz_fnf", "compute", "--trace",
+                                   "--format", fmt, path], capture_output=True, env=env)
+            assert (done.returncode, done.stdout.decode(), done.stderr) == (EXIT_OK, want, b"")
 
     def test_writes_through_a_stdout_with_only_write_and_flush(
             self, tmp_path, capsys, monkeypatch):

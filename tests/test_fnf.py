@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toeplitz_fnf import (ComponentIndexSequence, FirstRow, FnfBlock, FnfResult, compute_fnf,
                           row_from_offsets)
+from toeplitz_fnf import fnf
 
 import reference
 from conftest import random_instance, sweep_instances
@@ -78,6 +81,40 @@ class TestExtractBlocks:
             assert np.shares_memory(b.first_row, row.entries)
             assert b.first_row.strides == (step * row.entries.itemsize,)
             assert not b.first_row.flags.writeable and not b.vertices.flags.writeable
+
+    @pytest.mark.parametrize("at", [1, fnf._GAPS, fnf._GAPS + 1, 2 * fnf._GAPS + 1])
+    def test_a_gap_off_the_step_in_any_chunk_is_gathered(self, at):
+        # the odd vertices, one moved down by one: the span is still
+        # (size - 1) * 2 and only the two gaps either side of it are not 2.
+        # The gaps are checked in chunks [0, G), [G, 2G), [2G, 2G + 3) of
+        # G = _GAPS; the cases put those two in the first, across the first
+        # two, in the second and in the last
+        n = 4 * fnf._GAPS + 8
+        first = np.arange(1, n, 2)
+        first[at] -= 1
+        rest = np.setdiff1d(np.arange(1, n + 1), first)
+        row = FirstRow(np.arange(1.0, n + 1.0))
+        res = FnfResult(row=row, cis=ComponentIndexSequence(n, 2, np.where(np.isin(
+                            np.arange(1, n + 1), first), 1, 2)),
+                        permutation=np.concatenate([first, rest]),
+                        block_bounds=np.array([0, first.size, n]), trace=compute_fnf(row).trace)
+        block = res.blocks[0]
+        assert block.first_row.tolist() == (first - first[0] + 1.0).tolist()
+        assert not np.shares_memory(block.first_row, row.entries)
+
+    def test_reading_a_residue_class_makes_no_block_sized_temporary(self):
+        # the gaps are checked _GAPS at a time: a block-sized np.diff and its
+        # mask would take 5 bytes a vertex at int32, 1.3 MB here
+        result = compute_fnf(row_from_offsets(8 * fnf._GAPS, [2]))
+        tracemalloc.start()
+        try:
+            blocks = result.blocks[0], result.blocks[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for b in blocks:
+            assert b.size == 4 * fnf._GAPS and np.shares_memory(b.first_row, result.row.entries)
+        assert peak < 2 * fnf._GAPS * result.permutation.itemsize, peak
 
 
 class TestPermutationFromCis:

@@ -1,4 +1,18 @@
-from .cli import main
+"""``python -m toeplitz_fnf`` and the ``fnf`` console script: what :func:`cli.main`
+does, then an exit by ``os._exit`` that skips the interpreter's teardown (tens of
+ms with numpy loaded), as mypy's console entry does."""
+
+import os
+import sys
+
+from .cli import _flushed, run
+
+
+def main() -> None:
+    code = _flushed(run())
+    sys.stderr.flush()
+    os._exit(code)
+
 
 if __name__ == "__main__":
     main()

@@ -7,7 +7,8 @@ two vectorised checks that share no code with the pipeline.
 slope of the median runtimes.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 unexpected
-internal failure, which prints its traceback to stderr if ``FNF_DEBUG=1``.
+internal failure, which prints its traceback to stderr if ``FNF_DEBUG=1``,
+141 a reader that closed the pipe (as a shell reports a tool SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED_PIPE = 141
 
 #: Work units (see :func:`verify_row`) ``verify`` allows by default: n = 1e7 at k = 24.
 DEFAULT_VERIFY_BUDGET = 3 * 10**8
@@ -241,42 +243,26 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
 # output rendering
 
 
-def _digits(values: np.ndarray, grid: np.ndarray, sep: str) -> np.ndarray:
-    """``grid``, each row filled with a nonnegative integer's digits right-aligned before ``sep``."""
-    width = grid.shape[1] - len(sep)
+def _decimal(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative integers in decimal, each followed by ``sep``, and each one's byte count.
+
+    The digits fill a grid a column per pass, right-aligned before ``sep``;
+    dropping the leading zeros lays the entries end to end.
+    """
+    width = len(str(values.max()))
+    grid = np.empty((values.size, width + len(sep)), dtype=np.uint8)
     for column, byte in enumerate(sep.encode("ascii"), start=width):
         grid[:, column] = byte
+    keep = np.ones(grid.shape, dtype=bool)
+    count = np.full(values.size, 1 + len(sep))
     rest = values
     for column in range(width - 1, -1, -1):
         rest, whole = rest // 10, rest
         grid[:, column] = whole - rest * 10 + ord("0")
-    return grid
-
-
-def _decimal(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nonnegative integers in decimal, each followed by ``sep``, and each one's byte count:
-    a grid of :func:`_digits` without its leading zeros lays the entries end to end."""
-    width = len(str(values.max()))
-    grid = _digits(values, np.empty((values.size, width + len(sep)), dtype=np.uint8), sep)
-    keep = np.ones(grid.shape, dtype=bool)
-    count = np.full(values.size, 1 + len(sep))
-    for column in range(width - 1):  # a leading zero where the value has fewer digits
-        keep[:, column] = values >= 10 ** (width - 1 - column)
-        count += keep[:, column]
+        if column:  # the digit left of this one is a leading zero once nothing is left
+            keep[:, column - 1] = rest > 0
+            count += keep[:, column - 1]
     return grid[keep], count
-
-
-def _increasing(values: np.ndarray, sep: str) -> np.ndarray:
-    """:func:`_decimal`'s text of strictly increasing values: those with ``d`` digits are
-    one run, written by :func:`_digits` in place as a grid of ``d + len(sep)`` columns."""
-    width = len(str(values[-1]))
-    cuts = [0, *np.searchsorted(values, 10 ** np.arange(1, width, dtype=values.dtype)).tolist(),
-            values.size]
-    ends = np.cumsum(np.diff(cuts) * np.arange(1 + len(sep), width + 1 + len(sep))).tolist()
-    text = np.empty(ends[-1], dtype=np.uint8)
-    for d, lo, hi, start, end in zip(range(1, width + 1), cuts, cuts[1:], [0, *ends], ends):
-        _digits(values[lo:hi], text[start:end].reshape(hi - lo, d + len(sep)), sep)
-    return text
 
 
 def _row_tokens(entries: np.ndarray, sep: str):
@@ -284,9 +270,8 @@ def _row_tokens(entries: np.ndarray, sep: str):
 
     Each nonzero entry is formatted once: integral values as plain integers
     (``1e300`` in full), others by their float repr.  All zeros (``-0.0``
-    too) share token 0, ``0``.  Every token is followed by ``sep``.  Given at most ``PASS``
-    ids, one in 64 or fewer nonzero, the writer joins slices of a text of ``0`` tokens
-    and the nonzero tokens between them; otherwise it gathers the tokens' bytes.
+    too) share token 0, ``0``.  Every token is followed by ``sep``.  A pass at most one
+    in 32 nonzero is written as slices of a text of ``0`` tokens and the nonzero tokens.
     """
     nonzero = np.flatnonzero(entries)
     texts, counts = [("0" + sep).encode("ascii")], [np.ones(1, dtype=np.int64)]
@@ -306,7 +291,7 @@ def _row_tokens(entries: np.ndarray, sep: str):
     def write(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n_bytes = count[chunk]
         at = np.flatnonzero(chunk)
-        if 64 * at.size > chunk.size:  # a gather of the tokens' bytes
+        if 32 * at.size > chunk.size:  # the gather: the slices cost more from about 1 in 24
             ends = np.cumsum(n_bytes)
             return table[np.repeat(end[chunk] - ends, n_bytes) + np.arange(ends[-1])], n_bytes
         data, last, tokens = bytearray(), -1, chunk[at]
@@ -322,7 +307,7 @@ def _row_tokens(entries: np.ndarray, sep: str):
 def _numbers(values: np.ndarray, write, sep: str, step: int = PASS):
     """The text ``write`` makes of ``values``, ``step`` at a time, without the last ``sep``."""
     for at in range(0, values.size, step):
-        data = write(values[at:at + step])
+        data, _ = write(values[at:at + step])
         yield str(data[:-len(sep)] if at + step >= values.size else data, "ascii")
 
 
@@ -336,11 +321,11 @@ def _body(result: FnfResult, sep: str, joiner: str, batch):
     ``batch(k, sizes, verts, rows)`` formats a pass whose first block is the
     ``k``-th (0-based), from its blocks' sizes and texts.  A longer block
     goes alone, its texts streamed where ``batch`` put the markers ``\\1``
-    and ``\\2``, its vertices by :func:`_increasing`.  The vertex texts are
-    kept: they are the permutation's.
+    and ``\\2``.  The vertex texts are kept: they are the permutation's.
     """
     perm, bounds = result.permutation, result.block_bounds
     token, write_row = _row_tokens(result.row.entries, sep)
+    write_vertices = partial(_decimal, sep=sep)
     last_sep = "\0" + sep[1:]
     permutation, start = [], 0
     while start < bounds.size - 1:
@@ -354,16 +339,16 @@ def _body(result: FnfResult, sep: str, joiner: str, batch):
             # a block's row is read at each vertex's distance from the block's first vertex
             rows = token[verts - np.repeat(perm[bounds[start:stop]], sizes)]
             last, texts = np.cumsum(sizes) - 1, []
-            for data, count in (_decimal(verts, sep), write_row(rows)):
+            for data, count in (write_vertices(verts), write_row(rows)):
                 data[np.cumsum(count)[last] - len(sep)] = 0
                 texts.append(str(data, "ascii"))
             permutation.append(texts[0])
             yield joiner.join(batch(start, memoryview(sizes), *(t.split(last_sep) for t in texts)))
         else:
-            texts = list(_numbers(verts, partial(_increasing, sep=sep), sep))
+            texts = list(_numbers(verts, write_vertices, sep))
             permutation += texts + [sep]
             streams = {"\1": texts, "\2": _numbers(
-                verts, lambda chunk: write_row(token[chunk - verts[0]])[0], sep)}
+                verts, lambda chunk: write_row(token[chunk - verts[0]]), sep)}
             one, = batch(start, [verts.size], ["\1"], ["\2"])
             for piece in re.split("([\1\2])", one):
                 yield from streams.get(piece, (piece,))
@@ -388,7 +373,7 @@ def _json_batch(k, sizes, verts, rows):
 
 def _json_pieces(result: FnfResult, include_trace: bool):
     yield f'{{"n": {result.n}, "component_count": {result.component_count}, "cis": ['
-    yield from _numbers(result.cis.rho, lambda labels: _decimal(labels, ", ")[0], ", ", CHUNK)
+    yield from _numbers(result.cis.rho, partial(_decimal, sep=", "), ", ", CHUNK)
     yield '], "blocks": ['
     permutation = yield from _body(result, ", ", ", ", _json_batch)
     yield '], "permutation": ['
@@ -429,7 +414,7 @@ def _text_pieces(result: FnfResult, include_trace: bool):
     yield "\npermutation "
     yield from permutation
     yield "\ncis "
-    yield from _numbers(result.cis.rho, lambda labels: _decimal(labels, ",")[0], ",", CHUNK)
+    yield from _numbers(result.cis.rho, partial(_decimal, sep=","), ",", CHUNK)
     yield "\n"
     if include_trace:
         yield "".join(f"trace {s.kind} n={s.n_before}->{s.n_after} d={s.d} c={s.c}\n"
@@ -699,17 +684,26 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:  # no fault: the reader wants no more
+        return EXIT_CLOSED_PIPE
     except Exception as exc:  # pragma: no cover - internal contract violations
         return _internal_error(exc)
 
 
-def main() -> None:
-    """:func:`run`, then flush stdout, where a buffered one meets a failed write, and
-    end the process by ``os._exit``: the interpreter's teardown takes tens of ms."""
-    code = run()
+def _flushed(code: int) -> int:
+    """:func:`run`'s ``code`` once stdout is flushed, where a buffered one meets a failed write."""
     try:
         sys.stdout.flush()
-    except Exception as exc:  # reported unless run() reported an internal error
-        code = code if code == EXIT_INTERNAL else _internal_error(exc)
-    sys.stderr.flush()
-    os._exit(code)
+    except Exception as exc:
+        code = EXIT_CLOSED_PIPE if isinstance(exc, BrokenPipeError) else (
+            code if code == EXIT_INTERNAL else _internal_error(exc))  # unless run() reported it
+        # the interpreter flushes stdout again at exit: what is left goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
+def main() -> None:
+    """Run the command line and raise ``SystemExit`` with its exit code."""
+    raise SystemExit(_flushed(run()))

@@ -507,9 +507,9 @@ class TestWriterBytes:
             assert len(labels) == 4, render
             assert max(map(len, writes)) <= WRITE_BOUND
 
-    @pytest.mark.parametrize("nonzeros", [0, 2, cli.PASS // 64, cli.PASS // 64 + 1, cli.PASS])
+    @pytest.mark.parametrize("nonzeros", [0, 2, cli.PASS // 32, cli.PASS // 32 + 1, cli.PASS])
     def test_sparse_and_dense_row_passes_write_the_same_bytes(self, nonzeros):
-        # a pass with at most one nonzero token in 64 joins slices of a text of
+        # a pass with at most one nonzero token in 32 joins slices of a text of
         # zero tokens, a denser one gathers bytes: both give the tokens joined
         entries = np.zeros(cli.PASS)
         at = [0, -1] if nonzeros == 2 else np.random.default_rng(nonzeros).permutation(
@@ -710,12 +710,15 @@ class TestComputeCommand:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("debug", ["", "1"])
     @pytest.mark.parametrize("unbuffered", ["", "1"])
-    def test_write_failure_is_internal_error(self, tmp_path, unbuffered, debug):
-        # a buffered stdout fails at main()'s final flush, an unbuffered one in
-        # run(); either way one line, and the traceback only with FNF_DEBUG=1
+    @pytest.mark.parametrize("text", [GOLDEN_31_TEXT, " ".join(["0"] * 20000)],
+                             ids=["short", "long"])
+    def test_write_failure_is_internal_error(self, tmp_path, text, unbuffered, debug):
+        # a short document fails at the final flush when stdout is buffered, a
+        # long one in run() and then again at that flush; either way one line,
+        # and the traceback only with FNF_DEBUG=1
         env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, FNF_DEBUG=debug,
                    PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
+        path = _write(tmp_path, "row.txt", text)
         with open("/dev/full", "wb") as full:
             done = subprocess.run([sys.executable, "-m", "toeplitz_fnf", "compute", path],
                                   stdout=full, stderr=subprocess.PIPE, env=env)
@@ -729,7 +732,7 @@ class TestComputeCommand:
             assert len(lines) == 1, lines
 
     def test_main_flushes_the_whole_document(self, tmp_path, capsys):
-        # main() ends the process by os._exit, which flushes nothing itself
+        # python -m toeplitz_fnf ends the process by os._exit, which flushes nothing itself
         env = dict(os.environ, PYTHONUNBUFFERED="",
                    PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         path = _write(tmp_path, "row.txt", " ".join(["0"] * 3001))
@@ -739,6 +742,48 @@ class TestComputeCommand:
             done = subprocess.run([sys.executable, "-m", "toeplitz_fnf", "compute", "--trace",
                                    "--format", fmt, path], capture_output=True, env=env)
             assert (done.returncode, done.stdout.decode(), done.stderr) == (EXIT_OK, want, b"")
+
+    @pytest.mark.parametrize("entry", ["toeplitz_fnf.cli", "toeplitz_fnf.__main__"])
+    def test_only_the_package_entry_skips_the_teardown(self, tmp_path, entry):
+        # cli.main raises SystemExit, so its caller's atexit handlers run; the
+        # entry of python -m toeplitz_fnf and the console script ends the process
+        env = dict(os.environ, PYTHONUNBUFFERED="",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
+        code = ("import atexit, sys; atexit.register(sys.stderr.write, 'teardown'); "
+                f"sys.argv[1:] = ['compute', {path!r}]; from {entry} import main; main()")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert done.returncode == EXIT_OK and json.loads(done.stdout)["n"] == 31
+        assert done.stderr == (b"teardown" if entry.endswith(".cli") else b"")
+
+    def test_main_raises_system_exit_after_the_flush(self, tmp_path, capsys, monkeypatch):
+        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
+        assert run(["compute", path]) == EXIT_OK
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["fnf", "compute", path])
+        with pytest.raises(SystemExit) as done:
+            cli.main()
+        assert done.value.code == EXIT_OK and capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("entry", ["toeplitz_fnf.cli", "toeplitz_fnf.__main__"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("zeros", [31, 20000])
+    def test_a_closed_pipe_ends_quietly(self, tmp_path, entry, unbuffered, zeros):
+        # no reader from the start: a short document fails at the final flush
+        # when stdout is buffered, a long one at a write in run(); neither is an
+        # internal error, and the interpreter's own flush at exit finds nothing
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        path = _write(tmp_path, "row.txt", " ".join(["0"] * zeros))
+        code = f"import sys; sys.argv[1:] = ['compute', {path!r}]; from {entry} import main; main()"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-c", code], stdout=write,
+                                  stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (cli.EXIT_CLOSED_PIPE, b"")
 
     def test_writes_through_a_stdout_with_only_write_and_flush(
             self, tmp_path, capsys, monkeypatch):

@@ -247,22 +247,24 @@ def _decimal(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative integers in decimal, each followed by ``sep``, and each one's byte count.
 
     The digits fill a grid a column per pass, right-aligned before ``sep``;
-    dropping the leading zeros lays the entries end to end.
+    dropping the leading zeros lays the entries end to end.  Where every
+    entry has the largest one's digit count, the grid is the text as it is.
     """
     width = len(str(values.max()))
     grid = np.empty((values.size, width + len(sep)), dtype=np.uint8)
     for column, byte in enumerate(sep.encode("ascii"), start=width):
         grid[:, column] = byte
-    keep = np.ones(grid.shape, dtype=bool)
-    count = np.full(values.size, 1 + len(sep))
+    uniform = values.min() >= 10 ** (width - 1)
+    keep = None if uniform else np.ones(grid.shape, dtype=bool)
+    count = np.full(values.size, (width if uniform else 1) + len(sep))
     rest = values
     for column in range(width - 1, -1, -1):
         rest, whole = rest // 10, rest
         grid[:, column] = whole - rest * 10 + ord("0")
-        if column:  # the digit left of this one is a leading zero once nothing is left
+        if column and not uniform:  # the digit to its left is a leading zero once nothing is left
             keep[:, column - 1] = rest > 0
             count += keep[:, column - 1]
-    return grid[keep], count
+    return grid.reshape(-1) if uniform else grid[keep], count
 
 
 def _row_tokens(entries: np.ndarray, sep: str):
@@ -331,8 +333,10 @@ def _body(result: FnfResult, sep: str, joiner: str, batch):
     while start < bounds.size - 1:
         if start:
             yield joiner
-        lo = bounds[start]
-        stop = max(start + 1, int(bounds.searchsorted(lo + PASS, "right")) - 1)
+        lo = int(bounds[start])
+        # a key of the bounds' dtype, or searchsorted casts them all; bounds[-1] is n
+        key = bounds.dtype.type(min(lo + PASS, result.n))
+        stop = max(start + 1, int(bounds.searchsorted(key, "right")) - 1)
         verts = perm[lo:bounds[stop]]
         if verts.size <= PASS:
             sizes = np.diff(bounds[start:stop + 1])

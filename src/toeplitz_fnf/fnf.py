@@ -67,9 +67,10 @@ class FnfResult:
     ``p + 1``; gathering the original matrix at those indices on both axes
     produces the direct sum of the blocks, in order.  Block ``k`` owns
     ``permutation[block_bounds[k]:block_bounds[k + 1]]``, which are exactly
-    the vertices with label ``k + 1`` in ``cis``.  The trace replay numbers
-    components canonically (see :mod:`toeplitz_fnf.recovery`), so blocks
-    come by decreasing size, ties broken by smallest vertex.
+    the vertices with label ``k + 1`` in ``cis``; the bounds share the
+    permutation's dtype.  The trace replay numbers components canonically
+    (see :mod:`toeplitz_fnf.recovery`), so blocks come by decreasing size,
+    ties broken by smallest vertex.
     """
 
     row: FirstRow

@@ -67,7 +67,9 @@ One periodic fill by doubling copies serves both beta undos: it extends
 the labels with period ``d``, and ``Q_0`` to the first group's rows and
 tail with period ``m_0`` and step ``d``; that group's first column
 ``Q_0[0] + kd`` then offsets each run's ``Q_L - Q_0[0]`` in one broadcast.
-With one component the labels are a constant, read-only view.
+The labels take the narrowest signed integer dtype that holds ``c``, the
+permutation and the group bounds ``int32`` up to its maximum order.  With one
+component the labels are a constant, read-only view.
 """
 
 from __future__ import annotations
@@ -83,6 +85,11 @@ def _index_dtype(n: int) -> type:
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
+def _label_dtype(c: int) -> type:
+    """The narrowest signed integer dtype that holds ``c``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if c <= np.iinfo(t).max)
+
+
 class ComponentIndexSequence:
     """Labelling ``rho`` of vertices ``1..n`` by component indices ``1..c``.
 
@@ -90,6 +97,9 @@ class ComponentIndexSequence:
     equal labels exactly when they lie in the same component.  Every label
     in ``[1, c]`` occurs at least once.  The sequence keeps a read-only copy
     of ``rho``, so an array passed in is never frozen in its caller's hands.
+    :func:`recover_cis` stores the labels in the narrowest signed integer
+    dtype that holds ``c``, ``int8`` up to 127 components, so cast them (say
+    ``rho.astype(np.int64)``) before arithmetic whose results can exceed ``c``.
     """
 
     __slots__ = ("n", "c", "rho")
@@ -135,10 +145,11 @@ def _fill_periodic(out: np.ndarray, start: int, period: int, step: int) -> None:
 def recover_cis(trace: ReductionTrace) -> ComponentIndexSequence:
     """Rebuild the component labelling of the original instance from a trace.
 
-    With one component ``rho`` is a read-only stride-0 view of a single ``1``.
+    ``rho`` takes the narrowest signed integer dtype that holds ``c``.  With
+    one component it is a read-only stride-0 view of a single ``1``.
     """
     n, c = trace.n_initial, trace.component_count
-    dtype = _index_dtype(n)
+    dtype = _label_dtype(c)
     # the replay labels every vertex and uses each label in [1, c], so the
     # constructor's full-vector checks are skipped
     cis = ComponentIndexSequence.__new__(ComponentIndexSequence)
@@ -172,15 +183,16 @@ def recover_blocks(trace: ReductionTrace) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the 1-based ``permutation`` and ``bounds`` of length ``c + 1``:
     the component with label ``L`` owns ``permutation[bounds[L-1]:bounds[L]]``,
-    in increasing order.  The trace is replayed on the groups themselves, so
-    no labels are sorted.
+    in increasing order.  Both take the permutation's dtype, ``int32`` up to
+    its maximum order and ``int64`` above it.  The trace is replayed on the
+    groups themselves, so no labels are sorted.
     """
     n, c = trace.n_initial, trace.component_count
     dtype = _index_dtype(n)
     if c == 1:
-        return np.arange(1, n + 1, dtype=dtype), np.array([0, n], dtype=np.int64)
+        return np.arange(1, n + 1, dtype=dtype), np.array([0, n], dtype=dtype)
     perm = np.arange(1, trace.n_final + 1, dtype=dtype)
-    bounds = np.arange(trace.n_final + 1, dtype=np.int64)
+    bounds = np.arange(trace.n_final + 1, dtype=dtype)
 
     for step in reversed(trace.steps):
         if step.kind == ALPHA:
@@ -193,7 +205,7 @@ def recover_blocks(trace: ReductionTrace) -> tuple[np.ndarray, np.ndarray]:
             np.add(old, width, out=old, where=old > half)
             out[step.n_after:] = np.arange(half + 1, half + width + 1, dtype=dtype)
             perm = out
-            bounds = np.concatenate((bounds, bounds[-1] + np.arange(1, width + 1)))
+            bounds = np.concatenate((bounds, bounds[-1] + np.arange(1, width + 1, dtype=dtype)))
         else:
             perm, bounds = _unfold_groups(perm, bounds, step.n_before, step.d, dtype)
     return perm, bounds
@@ -214,7 +226,7 @@ def _unfold_groups(perm: np.ndarray, bounds: np.ndarray, n: int, d: int,
     m = np.add.reduceat(low, bounds[:-1], dtype=np.int64)
     t = np.diff(bounds) - m
     q_bounds = np.concatenate(([0], np.cumsum(m)))
-    new_bounds = np.concatenate(([0], np.cumsum(K * m + t)))
+    new_bounds = np.concatenate(([0], np.cumsum(K * m + t)), dtype=dtype)
     out = np.empty(n, dtype=dtype)
     # the first group, rows Q_0 + kd then its tail, extends Q_0 with period
     # m_0 and step d; its first column Q_0[0] + kd offsets every other group

@@ -43,6 +43,12 @@ def random_beta_instance(rng: np.random.Generator, n_lo: int = 2,
     return n, np.sort(np.append(chosen, s0)).astype(np.int64)
 
 
+#: Rows at the edges of the label dtypes, ``(n, offsets, label dtype)``: all-zero
+#: rows (c = n) on both sides of int8's and int16's maximum, then c = 2 and c = 1.
+LABEL_DTYPE_ROWS = [(127, [], np.int8), (128, [], np.int16), (32_767, [], np.int16),
+                    (32_768, [], np.int32), (1000, [2, 4], np.int8), (1000, [1], np.int8)]
+
+
 def sweep_instances(count: int = 10000, seed: int = 20240601):
     """The pinned instance sweep of acceptance criteria 3 and 5."""
     rng = np.random.default_rng(seed)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from toeplitz_fnf import FirstRow, row_from_offsets
+from conftest import LABEL_DTYPE_ROWS
+from toeplitz_fnf import ComponentIndexSequence, FirstRow, row_from_offsets
 from toeplitz_fnf import cli
 from toeplitz_fnf.cli import (
     EXIT_INPUT,
@@ -521,6 +522,32 @@ class TestWriterBytes:
             data, count = write(ids[lo:hi])
             assert str(data, "ascii") == "".join(tokens)
             assert count.tolist() == list(map(len, tokens))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_decimal_matches_str(self, dtype):
+        top = int(np.iinfo(dtype).max)
+        powers = [10**k for k in range(19) if 10**k <= top]
+        passes = [[7], list(range(10)), [0, 9, 5], [top] * 3, [1, top],
+                  [p - 1 for p in powers[1:]] + powers + [top],  # both sides of each width
+                  *([p, 10 * p - 1, p + 7] for p in powers if 10 * p - 1 <= top),  # uniform
+                  *([p - 1, p] for p in powers[1:])]
+        for values in passes:
+            for sep in (", ", ","):
+                for array in (np.array(values, dtype=dtype),
+                              np.broadcast_to(dtype(values[0]), 5)):  # as the c = 1 labels
+                    data, count = cli._decimal(array, sep)
+                    texts = list(map(str, array.tolist()))
+                    assert str(data, "ascii") == sep.join(texts) + sep, (values, sep)
+                    assert count.tolist() == [len(t) + len(sep) for t in texts]
+
+    @pytest.mark.parametrize("n, offsets, dtype", LABEL_DTYPE_ROWS)
+    def test_narrow_labels_write_as_int64_labels_do(self, n, offsets, dtype):
+        result = compute_fnf(row_from_offsets(n, offsets))
+        assert result.cis.rho.dtype == dtype
+        wide = dataclasses.replace(result, cis=ComponentIndexSequence(
+            n, result.component_count, result.cis.rho.astype(np.int64)))
+        assert cli.render_json(result) == cli.render_json(wide)
+        assert cli.render_text(result, True) == cli.render_text(wide, True)
 
     def test_compute_reads_no_block_objects(self, tmp_path, monkeypatch):
         def refuse(self):

@@ -10,7 +10,7 @@ from toeplitz_fnf.recovery import _fill_periodic, _unfold_groups, recover_blocks
 from toeplitz_fnf.reduction import ALPHA, BETA, ReductionStep, ReductionTrace
 
 import reference
-from conftest import random_instance, sweep_instances
+from conftest import LABEL_DTYPE_ROWS, random_instance, sweep_instances
 
 GOLDEN_PARTITION = {
     frozenset({3, 9, 15, 21, 27}),
@@ -135,21 +135,28 @@ def test_fill_periodic_matches_a_per_entry_loop(step):
                 assert out.tolist() == expected, (size, start, period)
 
 
+def _label_dtype(c):
+    """The labels' dtype: int8 up to 127 components, int16 up to 32,767, then int32."""
+    return np.int8 if c <= 127 else np.int16 if c <= 32_767 else np.int32
+
+
 def _argsort_blocks(cis):
     """Reference grouping by a stable sort of the labels (test-only copy of
-    the grouping the group replay replaced)."""
-    dtype = cis.rho.dtype
+    the grouping the group replay replaced).  The permutation and the bounds
+    take the permutation's dtype, int32 up to order 2**31 - 1."""
+    dtype = np.int32 if cis.n < 2**31 else np.int64
     if cis.c == 1:
-        return np.arange(1, cis.n + 1, dtype=dtype), np.array([0, cis.n])
+        return np.arange(1, cis.n + 1, dtype=dtype), np.array([0, cis.n], dtype=dtype)
     vertices = np.argsort(cis.rho, kind="stable").astype(dtype, copy=False)
     vertices += 1
     counts = np.bincount(cis.rho, minlength=cis.c + 1)[1:]
-    return vertices, np.concatenate(([0], np.cumsum(counts)))
+    return vertices, np.concatenate(([0], np.cumsum(counts)), dtype=dtype)
 
 
 def _assert_matches_argsort(n, offsets):
     res = compute_fnf(row_from_offsets(n, offsets))
     perm, bounds = _argsort_blocks(res.cis)
+    assert res.cis.rho.dtype == _label_dtype(res.cis.c)
     assert res.permutation.dtype == perm.dtype
     assert res.block_bounds.dtype == bounds.dtype
     assert np.array_equal(res.permutation, perm)
@@ -273,6 +280,14 @@ class TestRecoverBlocks:
         _assert_matches_argsort(n, offsets)
 
 
+@pytest.mark.parametrize("n, offsets, dtype", LABEL_DTYPE_ROWS)
+def test_label_dtype_steps_by_component_count(n, offsets, dtype):
+    res = compute_fnf(row_from_offsets(n, offsets))
+    assert res.cis.rho.dtype == dtype
+    assert res.permutation.dtype == np.int32 and res.block_bounds.dtype == np.int32
+    assert np.array_equal(res.cis.rho, reference.union_find_labels(n, offsets))
+
+
 def _peak_bytes(replay, trace):
     """The peak that ``replay(trace)`` allocates, and the bytes its result arrays own."""
     tracemalloc.start()
@@ -315,7 +330,7 @@ class TestReplayMemory:
                 continue
             cis = recover_cis(trace)
             rho = cis.rho
-            assert rho.shape == (n,) and rho.dtype == np.int32
+            assert rho.shape == (n,) and rho.dtype == np.int8
             assert not rho.flags.writeable
             assert np.all(rho == 1)
             labels = reference.union_find_labels(n, offsets)

@@ -1,15 +1,15 @@
-"""``python -m toeplitz_fnf`` and the ``fnf`` console script: what :func:`cli.main`
-does, then an exit by ``os._exit`` that skips the interpreter's teardown (tens of
-ms with numpy loaded), as mypy's console entry does."""
+"""``python -m toeplitz_fnf`` and the ``fnf`` console script: :func:`cli.run`, which
+returns with stdout flushed, then an exit by ``os._exit`` that skips the interpreter's
+teardown (tens of ms with numpy loaded), as mypy's console entry does."""
 
 import os
 import sys
 
-from .cli import _flushed, run
+from .cli import run
 
 
 def main() -> None:
-    code = _flushed(run())
+    code = run()
     sys.stderr.flush()
     os._exit(code)
 

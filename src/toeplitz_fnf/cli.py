@@ -6,9 +6,11 @@ two vectorised checks that share no code with the pipeline.
 ``bench`` times the pipeline over a list of sizes and reports the log-log
 slope of the median runtimes.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 unexpected
-internal failure, which prints its traceback to stderr if ``FNF_DEBUG=1``,
-141 a reader that closed the pipe (as a shell reports a tool SIGPIPE ended).
+Exit codes, each decided in :func:`run`: 0 success, 1 verification failure,
+2 input error, 3 unexpected internal failure (a failed write too, at the final
+flush included), which prints its traceback to stderr if ``FNF_DEBUG=1``, 141
+a reader that closed the pipe (as a shell reports a tool SIGPIPE ended).
+``python -m toeplitz_fnf`` (:mod:`toeplitz_fnf.__main__`) is the process entry.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "verify_row",
     "run_bench",
     "run",
-    "main",
 ]
 
 EXIT_OK = 0
@@ -83,7 +84,10 @@ def parse_input(text: str | bytes) -> np.ndarray:
     if text.isascii():
         values = _read_ascii(text if isinstance(text, bytes) else text.encode("ascii"))
     if values is None:
-        values = _read_str(text if isinstance(text, str) else text.decode("utf-8"))
+        try:
+            values = _read_str(text if isinstance(text, str) else text.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"input is not UTF-8: {exc}") from exc
     if not np.isfinite(values).all():
         raise InputError("first row entries must be finite")
     return values
@@ -150,7 +154,7 @@ def _read_ascii(data: bytes) -> np.ndarray | None:
     if data[at] != ord("{"):
         if b"," in data:
             return None
-        return _scan(data, 0, len(data), lambda texts: b"".join(texts).replace(b",", b" ").split())
+        return _scan(data, 0, len(data), lambda texts: b"".join(texts).split(b","))
     lo, hi = data.find(b"["), data.rfind(b"]")
     if not 0 <= lo < hi:
         return None
@@ -223,6 +227,8 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
     """
     try:
         if source == "-":
+            if sys.stdin is None:  # as Python sets it when fd 0 is closed
+                raise OSError("stdin is closed")
             text = getattr(sys.stdin, "buffer", sys.stdin).read()
         else:
             with open(source, "rb") as fh:
@@ -672,42 +678,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _internal_error(exc: Exception) -> int:
-    print(f"internal error: {exc}", file=sys.stderr)
-    if os.environ.get("FNF_DEBUG") == "1":
-        import traceback  # only on this path: it costs nothing when the switch is off
-        traceback.print_exc()
-    return EXIT_INTERNAL
-
-
 def run(argv: list[str] | None = None) -> int:
+    """Run the command line on ``argv`` and return its exit code once stdout is flushed."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:  # no fault: the reader wants no more
         return EXIT_CLOSED_PIPE
     except Exception as exc:  # pragma: no cover - internal contract violations
-        return _internal_error(exc)
-
-
-def _flushed(code: int) -> int:
-    """:func:`run`'s ``code`` once stdout is flushed, where a buffered one meets a failed write."""
-    try:
-        sys.stdout.flush()
-    except Exception as exc:
-        code = EXIT_CLOSED_PIPE if isinstance(exc, BrokenPipeError) else (
-            code if code == EXIT_INTERNAL else _internal_error(exc))  # unless run() reported it
-        # the interpreter flushes stdout again at exit: what is left goes nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    return code
-
-
-def main() -> None:
-    """Run the command line and raise ``SystemExit`` with its exit code."""
-    raise SystemExit(_flushed(run()))
+        print(f"internal error: {exc}", file=sys.stderr)
+        if os.environ.get("FNF_DEBUG") == "1":
+            import traceback  # only on this path: it costs nothing when the switch is off
+            traceback.print_exc()
+        return EXIT_INTERNAL

@@ -75,6 +75,11 @@ class TestParseInput:
         with pytest.raises(InputError):
             parse_input('{"first_row": []}')
 
+    def test_rejects_bytes_that_are_not_utf8(self):
+        for data in (b"0 1 \xff", b'{"first_row": [0, 1], "k\xff": 1}'):
+            with pytest.raises(InputError, match="not UTF-8"):
+                parse_input(data)
+
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             parse_input("0 inf")
@@ -441,6 +446,21 @@ class _OnlyWriteStdout:
         pass
 
 
+class _FailingFlush:
+    """A stdout that records its calls and raises ``error``, unless None, at ``flush()``."""
+
+    def __init__(self, error):
+        self.error, self.calls = error, []
+
+    def write(self, text):
+        self.calls.append("write")
+
+    def flush(self):
+        self.calls.append("flush")
+        if self.error is not None:
+            raise self.error
+
+
 class TestWriterBytes:
     @pytest.mark.parametrize("name", sorted(WRITER_ROWS))
     def test_matches_per_entry_reference(self, name, tmp_path, capsys, monkeypatch):
@@ -758,6 +778,39 @@ class TestComputeCommand:
         else:
             assert len(lines) == 1, lines
 
+    @pytest.mark.parametrize("debug", ["", "1"])
+    def test_a_failed_final_flush_is_internal_error(self, tmp_path, capsys, monkeypatch, debug):
+        monkeypatch.setenv("FNF_DEBUG", debug)
+        monkeypatch.setattr(sys, "stdout", _FailingFlush(OSError(28, "No space left on device")))
+        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
+        assert run(["compute", path]) == cli.EXIT_INTERNAL
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "internal error: [Errno 28] No space left on device"
+        if debug:
+            assert lines[1] == "Traceback (most recent call last):"
+            assert lines[-1] == "OSError: [Errno 28] No space left on device"
+        else:
+            assert len(lines) == 1, lines
+
+    def test_a_closed_pipe_at_the_final_flush_ends_quietly(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _FailingFlush(BrokenPipeError(32, "Broken pipe")))
+        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
+        assert run(["compute", path]) == cli.EXIT_CLOSED_PIPE
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [["compute", "--trace"], ["verify"]],
+                             ids=["compute", "verify"])
+    def test_run_flushes_after_its_last_write(self, tmp_path, monkeypatch, argv):
+        stdout = _FailingFlush(None)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run([*argv, _write(tmp_path, "row.txt", GOLDEN_31_TEXT)]) == EXIT_OK
+        assert stdout.calls[-1] == "flush" and "write" in stdout.calls
+
+    def test_closed_stdin_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)  # as Python sets it when fd 0 is closed
+        assert run(["compute", "-"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: cannot read -: stdin is closed\n"
+
     def test_main_flushes_the_whole_document(self, tmp_path, capsys):
         # python -m toeplitz_fnf ends the process by os._exit, which flushes nothing itself
         env = dict(os.environ, PYTHONUNBUFFERED="",
@@ -770,10 +823,10 @@ class TestComputeCommand:
                                    "--format", fmt, path], capture_output=True, env=env)
             assert (done.returncode, done.stdout.decode(), done.stderr) == (EXIT_OK, want, b"")
 
-    @pytest.mark.parametrize("entry", ["toeplitz_fnf.cli", "toeplitz_fnf.__main__"])
+    @pytest.mark.parametrize("entry", ["toeplitz_fnf.__main__"])
     def test_only_the_package_entry_skips_the_teardown(self, tmp_path, entry):
-        # cli.main raises SystemExit, so its caller's atexit handlers run; the
-        # entry of python -m toeplitz_fnf and the console script ends the process
+        # the entry of python -m toeplitz_fnf and the console script ends the
+        # process, so its caller's atexit handlers never run
         env = dict(os.environ, PYTHONUNBUFFERED="",
                    PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
@@ -781,24 +834,15 @@ class TestComputeCommand:
                 f"sys.argv[1:] = ['compute', {path!r}]; from {entry} import main; main()")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
         assert done.returncode == EXIT_OK and json.loads(done.stdout)["n"] == 31
-        assert done.stderr == (b"teardown" if entry.endswith(".cli") else b"")
+        assert done.stderr == b""
 
-    def test_main_raises_system_exit_after_the_flush(self, tmp_path, capsys, monkeypatch):
-        path = _write(tmp_path, "row.txt", GOLDEN_31_TEXT)
-        assert run(["compute", path]) == EXIT_OK
-        want = capsys.readouterr().out
-        monkeypatch.setattr(sys, "argv", ["fnf", "compute", path])
-        with pytest.raises(SystemExit) as done:
-            cli.main()
-        assert done.value.code == EXIT_OK and capsys.readouterr().out == want
-
-    @pytest.mark.parametrize("entry", ["toeplitz_fnf.cli", "toeplitz_fnf.__main__"])
+    @pytest.mark.parametrize("entry", ["toeplitz_fnf.__main__"])
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize("zeros", [31, 20000])
     def test_a_closed_pipe_ends_quietly(self, tmp_path, entry, unbuffered, zeros):
-        # no reader from the start: a short document fails at the final flush
-        # when stdout is buffered, a long one at a write in run(); neither is an
-        # internal error, and the interpreter's own flush at exit finds nothing
+        # no reader from the start: a short document fails at run()'s final
+        # flush when stdout is buffered, a long one at a write before it;
+        # neither is an internal error
         env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
                    PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         path = _write(tmp_path, "row.txt", " ".join(["0"] * zeros))

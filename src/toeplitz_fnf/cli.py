@@ -241,7 +241,10 @@ def load_row(source: str, tolerance: float = 0.0) -> FirstRow:
         raise InputError(f"tolerance must be nonnegative, got {tolerance}")
     values = parse_input(text)
     if tolerance > 0:
-        values[np.abs(values) <= tolerance] = 0.0
+        # snap only the nonzero entries: the pages of zeros, which parse_input
+        # leaves unwritten, stay so
+        nonzero = np.flatnonzero(values)
+        values[nonzero[np.abs(values[nonzero]) <= tolerance]] = 0.0
     return FirstRow(values, _adopt=True)  # parse_input made it and checked it finite
 
 

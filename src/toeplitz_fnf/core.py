@@ -22,13 +22,22 @@ __all__ = [
 ]
 
 
+# a float64 row of at least ``_WHOLE`` entries is copied in windows of
+# ``_WINDOW`` entries, each probed at its first ``_PROBE`` (see ``_copied``)
+_WINDOW = 1 << 16
+_WHOLE = 16 * _WINDOW
+_PROBE = 8
+
+
 class FirstRow:
     """First row of a symmetric Toeplitz matrix of order ``n >= 1``.
 
     Entries are held as a read-only, finite float64 vector; index ``i`` is
     the constant value of the ``i``-th diagonal.  Zero tests are exact float
     comparison; callers that want a tolerance should clean their input
-    before constructing the row.
+    before constructing the row.  The row owns its entries: other input is
+    converted to float64 once, and a float64 array is copied, a sparse one
+    into memory for its nonzero windows only (see ``_copied``).
     """
 
     __slots__ = ("entries",)
@@ -37,19 +46,20 @@ class FirstRow:
         # _adopt: ``entries`` is a float64 array its caller made for this row
         # and checked finite (the CLI's parsed row), so the row holds it
         # without a copy or a second finiteness test
-        arr = entries if _adopt else np.array(entries, dtype=np.float64)
+        arr = entries if _adopt else _real(entries)
         if arr.ndim != 1:
             raise ValueError(f"first row must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("first row must contain at least one entry")
         if not _adopt:
-            # a finite sum of squares proves every entry finite without a
-            # temporary; the elementwise test runs only when it is not (a
-            # non-finite entry, or an entry so large its square overflows)
+            # the caller's float64 array is copied; converted input is new already
+            arr, parts = _copied(arr) if arr is entries else (arr, [arr])
+            # a finite sum of squares proves a part finite without a temporary;
+            # the elementwise test runs only when it is not (a non-finite entry,
+            # or an entry so large its square overflows)
             with np.errstate(over="ignore", invalid="ignore"):
-                squares_finite = np.isfinite(arr @ arr)
-            if not (squares_finite or np.isfinite(arr).all()):
-                raise ValueError("first row entries must be finite")
+                if not all(np.isfinite(p @ p) or np.isfinite(p).all() for p in parts):
+                    raise ValueError("first row entries must be finite")
         arr.setflags(write=False)
         self.entries = arr
 
@@ -72,6 +82,46 @@ class FirstRow:
         return f"FirstRow({self.entries.tolist()!r})"
 
 
+def _real(entries: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``entries`` if it is a float64 array, else a new float64 array of its real values."""
+    if isinstance(entries, np.ndarray) and entries.dtype == np.float64:
+        return entries
+    if isinstance(entries, np.ndarray) and entries.dtype.kind == "c":
+        if np.any(entries.imag):  # the cast would drop it with only a warning
+            raise ValueError("first row entries must be real")
+        entries = entries.real
+    try:
+        return np.array(entries, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:  # a complex entry, or an int beyond float64
+        raise ValueError(f"first row entries must be real: {exc}") from exc
+
+
+def _copied(source: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A copy of the float64 row ``source``, bit for bit, and the parts of it written.
+
+    A row of fewer than ``_WHOLE`` entries is one ``np.array`` copy.  A longer
+    one starts as ``np.zeros``, whose pages stay unbacked until written, and
+    gets one slice assignment per run of live windows: windows of ``_WINDOW``
+    entries whose int64 bits are not all zero (``-0.0`` is live).  The first
+    ``_PROBE`` entries of every window are read at once, and only a window
+    whose probe reads zero is scanned in full.  The partial window at the end
+    is always copied.  A window not written is zeros, finite by construction.
+    """
+    if source.size < _WHOLE:
+        copy = np.array(source)
+        return copy, [copy]
+    windows = source[:source.size // _WINDOW * _WINDOW].view(np.int64).reshape(-1, _WINDOW)
+    live = windows[:, :_PROBE].any(axis=1)
+    for w in np.flatnonzero(~live):
+        live[w] = np.count_nonzero(windows[w]) > 0
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], live, [True, False]))))
+    copy, parts = np.zeros(source.size), []
+    for a, b in np.minimum(edges * _WINDOW, source.size).reshape(-1, 2).tolist():
+        copy[a:b] = source[a:b]
+        parts.append(copy[a:b])
+    return copy, parts
+
+
 class OffsetSet:
     """Strictly increasing offsets in ``[1, n-1]``, possibly empty.
 
@@ -86,6 +136,8 @@ class OffsetSet:
 
     def __init__(self, n: int, offsets: Iterable[int] | np.ndarray) -> None:
         raw = offsets if isinstance(offsets, np.ndarray) else list(offsets)
+        if isinstance(raw, np.ndarray) and raw.dtype.kind == "c":  # the cast would warn first
+            raise ValueError("offsets must be integers")
         # the int64 cast warns on NaN and inf and wraps what int64 cannot
         # hold, so a float or unsigned array is checked first
         if isinstance(raw, np.ndarray) and raw.dtype.kind in "fu" and raw.size:
@@ -97,6 +149,8 @@ class OffsetSet:
             arr = np.array(raw, dtype=np.int64)
         except OverflowError as exc:  # an int beyond int64 is beyond every order
             raise ValueError(f"offsets must lie in [1, {n - 1}]") from exc
+        except TypeError as exc:  # a complex entry in a list
+            raise ValueError("offsets must be integers") from exc
         # the int64 cast truncates, so compare with what was passed in
         if np.any(arr != raw):
             raise ValueError("offsets must be integers")

@@ -702,6 +702,20 @@ class TestComputeCommand:
         assert not row.entries.flags.writeable
         assert row.entries.tolist() == [0.0, 0.0, 0.0, 0.0, 2.0]
 
+    def test_tolerance_snaps_as_the_whole_row_rule(self, tmp_path, capsys):
+        # only nonzero entries are snapped, yet the row equals the rule
+        # |x| <= eps -> 0 applied to every entry, and so do the output bytes
+        values = [0.0, -0.0, 1e-12, -1e-9, 1e-9, 2e-9, -3.5, 0.0, 7.0, -1e-10]
+        path = _write(tmp_path, "row.txt", " ".join(map(repr, values)))
+        row = cli.load_row(path, tolerance=1e-9)
+        whole = np.array(values)
+        whole[np.abs(whole) <= 1e-9] = 0.0
+        assert row.entries.tolist() == whole.tolist()
+        for fmt in ("json", "text"):
+            assert run(["compute", "--tolerance", "1e-9", "--format", fmt, path]) == EXIT_OK
+            render = cli.render_json if fmt == "json" else cli.render_text
+            assert capsys.readouterr().out == render(compute_fnf(FirstRow(whole)))
+
     def test_tolerance_must_be_nonnegative(self, tmp_path, capsys):
         path = _write(tmp_path, "row.txt", "0 1e-12 0 1")
         for eps in ("-1", "nan", "-inf"):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from toeplitz_fnf import core
 from toeplitz_fnf import (
     FirstRow,
     OffsetSet,
@@ -51,6 +56,28 @@ class TestFirstRow:
             with pytest.raises(ValueError):
                 FirstRow(bad, _adopt=True)
 
+    def test_refuses_complex_and_integers_beyond_float64(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before a cast could warn
+            for bad in (np.array([0, 1 + 2j]), np.array([1j]), [1 + 2j], [0, 1, 1j],
+                        [10**400], [0, -(10**400)], np.array([10**400], dtype=object)):
+                with pytest.raises(ValueError, match="real"):
+                    FirstRow(bad)
+            # a complex array whose imaginary parts are all zero is its real part
+            assert FirstRow(np.array([0, 1 + 0j, -2])).entries.tolist() == [0.0, 1.0, -2.0]
+
+    def test_converted_input_is_copied_once(self):
+        n = 1 << 20
+        for source in (np.arange(n), list(range(n // 16))):
+            tracemalloc.start()
+            try:
+                row = FirstRow(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert row.entries.tolist() == list(map(float, source))
+            assert peak < 1.5 * 8 * len(source)
+
     def test_equality(self):
         assert FirstRow([0, 1]) == FirstRow([0.0, 1.0])
         assert FirstRow([0, 1]) != FirstRow([0, 2])
@@ -61,6 +88,103 @@ class TestFirstRow:
         assert repr(FirstRow([0, 1.5])) == "FirstRow([0.0, 1.5])"
         assert repr(FirstRow(np.ones(1000))) == f"FirstRow({[1.0] * 1000!r})"
         assert repr(FirstRow(np.ones(1001))) == "FirstRow(n=1001)"
+
+
+W = core._WINDOW
+
+
+@pytest.fixture(params=["windowed", "default-cut"])
+def cut(request, monkeypatch):
+    """The copy as it runs: every row windowed, or only rows past the small-row cut."""
+    if request.param == "windowed":
+        monkeypatch.setattr(core, "_WHOLE", 0)
+    return request.param
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestWindowedCopy:
+    """``FirstRow`` copies a float64 array window by window, writing only live windows."""
+
+    @pytest.mark.parametrize("n", [W - 1, W, W + 1, 3 * W + 5])
+    def test_bit_exact(self, n, cut):
+        rng = np.random.default_rng(n)
+        x = np.zeros(n)
+        # nonzeros at both edges of windows, past the probe, and at random
+        edges = [i for w in range(1, 4) for i in (w * W - 1, w * W) if i < n]
+        at = np.concatenate((edges, rng.integers(0, n, size=5), [min(n - 1, core._PROBE)]))
+        x[at.astype(np.int64)] = rng.standard_normal(at.size)
+        if n > 2 * W:
+            x[W:3 * W] = 0.0
+            x[W + 7] = -0.0  # a window holding only -0.0
+            x[2 * W + 9] = 5e-324  # and one holding only a subnormal
+        assert np.array_equal(_bits(FirstRow(x).entries), _bits(x))
+        assert np.array_equal(_bits(FirstRow(-x).entries), _bits(-x))
+        # a row with no nonzero bit at all is +0.0 throughout
+        assert not _bits(FirstRow(np.zeros(n)).entries).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_a_live_window_after_dead_ones(self, bad, cut):
+        x = np.zeros(3 * W + 5)
+        x[2 * W + 100] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FirstRow(x)
+        x[2 * W + 100] = 0.0
+        x[-1] = bad  # in the partial window at the end
+        with pytest.raises(ValueError, match="finite"):
+            FirstRow(x)
+        x[-1] = 1e300  # squares overflow, entries are finite
+        assert FirstRow(x).entries[-1] == 1e300
+
+    def test_sources_stay_the_callers(self, cut):
+        base = np.zeros(2 * (3 * W + 5))
+        base[[3, W + 2, 4 * W + 1, base.size - 1]] = [1.5, -0.0, 2.5, -3.0]
+        frozen = base.copy()
+        frozen.setflags(write=False)
+        sources = {
+            "strided": base[::2], "reversed": base[::-1], "read-only": frozen,
+            "int": base.astype(np.int64), "float32": base.astype(np.float32),
+        }
+        for name, source in sources.items():
+            writable = source.flags.writeable
+            row = FirstRow(source)
+            assert np.array_equal(_bits(row.entries), _bits(source.astype(np.float64))), name
+            assert not np.shares_memory(row.entries, source), name
+            assert source.flags.writeable == writable and not row.entries.flags.writeable, name
+        assert base.flags.writeable
+        listed = base[:W + 3].tolist()
+        assert np.array_equal(_bits(FirstRow(listed).entries), _bits(base[:W + 3]))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+    def test_sparse_row_copy_holds_only_its_live_windows(self):
+        # the resident set over the copy of a row whose nonzeros lie in one
+        # window; tracemalloc counts np.zeros at its full size, so it cannot
+        # see what stays unbacked
+        n = 1 << 23
+        script = f"""
+import os
+import numpy as np
+from toeplitz_fnf import FirstRow
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+source = np.empty({n})
+source.fill(0.0)  # every page of the caller's row resident
+source[5 * {W} + 3], source[6 * {W} - 1] = 1.0, -2.0
+before = resident()
+row = FirstRow(source)
+grown = resident() - before
+assert np.array_equal(row.entries, source)
+print(grown)
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert int(done.stdout) < 8 * n // 4
 
 
 class TestOffsetSet:
@@ -93,6 +217,13 @@ class TestOffsetSet:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="integers"):
                     OffsetSet(10, offsets)
+
+    def test_rejects_complex_before_the_cast(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for offsets in (np.array([1 + 2j]), np.array([2 + 0j, 3 + 0j]), [1 + 2j], [2, 3j]):
+                with pytest.raises(ValueError, match="integers"):
+                    OffsetSet(5, offsets)
 
     def test_rejects_fractional(self):
         for offsets in ([1.5, 2.9], [1, 2.5], np.array([2.0, 3.25])):

@@ -37,10 +37,11 @@ class FirstRow:
     comparison; callers that want a tolerance should clean their input
     before constructing the row.  The row owns its entries: other input is
     converted to float64 once, and a float64 array is copied, a sparse one
-    into memory for its nonzero windows only (see ``_copied``).
+    into memory for its nonzero windows only (see ``_copied``), which are all
+    that ``reduce`` reads of it.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_runs")
 
     def __init__(self, entries: Sequence[float] | np.ndarray, *, _adopt: bool = False) -> None:
         # _adopt: ``entries`` is a float64 array its caller made for this row
@@ -51,17 +52,22 @@ class FirstRow:
             raise ValueError(f"first row must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("first row must contain at least one entry")
+        # _runs: the ``(a, b)`` spans outside which every entry is +0.0
+        runs = [(0, arr.size)]
         if not _adopt:
             # the caller's float64 array is copied; converted input is new already
-            arr, parts = _copied(arr) if arr is entries else (arr, [arr])
-            # a finite sum of squares proves a part finite without a temporary;
+            if arr is entries:
+                arr, runs = _copied(arr)
+            # a finite sum of squares proves a run finite without a temporary;
             # the elementwise test runs only when it is not (a non-finite entry,
             # or an entry so large its square overflows)
             with np.errstate(over="ignore", invalid="ignore"):
-                if not all(np.isfinite(p @ p) or np.isfinite(p).all() for p in parts):
+                if not all(np.isfinite(p @ p) or np.isfinite(p).all()
+                           for p in (arr[a:b] for a, b in runs)):
                     raise ValueError("first row entries must be finite")
         arr.setflags(write=False)
         self.entries = arr
+        self._runs = runs
 
     @property
     def n(self) -> int:
@@ -82,10 +88,23 @@ class FirstRow:
         return f"FirstRow({self.entries.tolist()!r})"
 
 
+def _numeric(values: Iterable | np.ndarray) -> bool:
+    """Whether ``values`` holds no boolean and no string, which numpy's casts make numbers."""
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        return values.dtype.kind not in "bSU"
+    try:
+        types = set(map(type, values.flat if isinstance(values, np.ndarray) else values))
+    except TypeError:  # a scalar, which the one-dimensional check refuses
+        return True
+    return not any(issubclass(t, (bool, np.bool_, str, bytes)) for t in types)
+
+
 def _real(entries: Sequence[float] | np.ndarray) -> np.ndarray:
     """``entries`` if it is a float64 array, else a new float64 array of its real values."""
     if isinstance(entries, np.ndarray) and entries.dtype == np.float64:
         return entries
+    if not _numeric(entries):
+        raise ValueError("first row entries must be numbers, not booleans or strings")
     if isinstance(entries, np.ndarray) and entries.dtype.kind == "c":
         if np.any(entries.imag):  # the cast would drop it with only a warning
             raise ValueError("first row entries must be real")
@@ -96,30 +115,30 @@ def _real(entries: Sequence[float] | np.ndarray) -> np.ndarray:
         raise ValueError(f"first row entries must be real: {exc}") from exc
 
 
-def _copied(source: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A copy of the float64 row ``source``, bit for bit, and the parts of it written.
+def _copied(source: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """A copy of the float64 row ``source``, bit for bit, and the ``(a, b)`` runs written.
 
-    A row of fewer than ``_WHOLE`` entries is one ``np.array`` copy.  A longer
-    one starts as ``np.zeros``, whose pages stay unbacked until written, and
-    gets one slice assignment per run of live windows: windows of ``_WINDOW``
-    entries whose int64 bits are not all zero (``-0.0`` is live).  The first
-    ``_PROBE`` entries of every window are read at once, and only a window
-    whose probe reads zero is scanned in full.  The partial window at the end
-    is always copied.  A window not written is zeros, finite by construction.
+    A row of fewer than ``_WHOLE`` entries is one ``np.array`` copy, one run.
+    A longer one starts as ``np.zeros``, whose pages stay unbacked until
+    written, and gets one slice assignment per run of live windows: windows of
+    ``_WINDOW`` entries whose int64 bits are not all zero (``-0.0`` is live).
+    The first ``_PROBE`` entries of every window are read at once, and only a
+    window whose probe reads zero is scanned in full.  The partial window at
+    the end is always copied.  A window not written is +0.0, finite and free
+    of offsets by construction.
     """
     if source.size < _WHOLE:
-        copy = np.array(source)
-        return copy, [copy]
+        return np.array(source), [(0, source.size)]
     windows = source[:source.size // _WINDOW * _WINDOW].view(np.int64).reshape(-1, _WINDOW)
     live = windows[:, :_PROBE].any(axis=1)
     for w in np.flatnonzero(~live):
         live[w] = np.count_nonzero(windows[w]) > 0
     edges = np.flatnonzero(np.diff(np.concatenate(([False], live, [True, False]))))
-    copy, parts = np.zeros(source.size), []
-    for a, b in np.minimum(edges * _WINDOW, source.size).reshape(-1, 2).tolist():
+    copy = np.zeros(source.size)
+    runs = list(map(tuple, np.minimum(edges * _WINDOW, source.size).reshape(-1, 2).tolist()))
+    for a, b in runs:
         copy[a:b] = source[a:b]
-        parts.append(copy[a:b])
-    return copy, parts
+    return copy, runs
 
 
 class OffsetSet:
@@ -136,6 +155,8 @@ class OffsetSet:
 
     def __init__(self, n: int, offsets: Iterable[int] | np.ndarray) -> None:
         raw = offsets if isinstance(offsets, np.ndarray) else list(offsets)
+        if not _numeric(raw):
+            raise ValueError("offsets must be integers, not booleans or strings")
         if isinstance(raw, np.ndarray) and raw.dtype.kind == "c":  # the cast would warn first
             raise ValueError("offsets must be integers")
         # the int64 cast warns on NaN and inf and wraps what int64 cannot
@@ -199,11 +220,12 @@ def offsets_from_row(row: FirstRow) -> OffsetSet:
 def row_from_offsets(n: int, offsets: Iterable[int]) -> FirstRow:
     """Build the first row with ``1`` at each offset and ``0`` elsewhere.
 
-    ``offsets`` must meet the :class:`OffsetSet` contract.
+    ``offsets`` must meet the :class:`OffsetSet` contract.  The row holds the
+    array made here, finite by construction, as one run: it is not copied.
     """
     entries = np.zeros(n, dtype=np.float64)
     entries[OffsetSet(n, offsets).offsets] = 1.0
-    return FirstRow(entries)
+    return FirstRow(entries, _adopt=True)
 
 
 def toeplitz_entry(row: FirstRow, i: int, j: int) -> float:

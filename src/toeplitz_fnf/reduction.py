@@ -25,8 +25,12 @@ The first move may read a row in place: its offsets in increasing order
 until ``d`` is final (for beta: none past ``n - d``, none once ``d == 1``),
 then only those it keeps, from ``min(S)`` for alpha and above ``n - d`` for
 beta.  A row is read in windows from ``WINDOW`` positions wide, so one with
-``a_1 != 0`` is read in one window.  An offset array is searched in one
-unbounded window, which is cut by the bound of each ``d`` in turn.
+``a_1 != 0`` is read in one window.  Within a window only the runs of live
+windows that :class:`FirstRow` wrote when it copied the row are read: a
+sparse row's offsets are collected from its few nonzero windows, not from
+all ``n`` positions, and a dense, short or adopted row is one run.  An
+offset array is searched in one unbounded window, which is cut by the bound
+of each ``d`` in turn.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ BETA = "beta"
 WINDOW = 65_536
 #: ``between(lo, hi)``: the offsets ``lo <= s < hi``, increasing, for ``lo >= 1``
 Between = Callable[[int, int], np.ndarray]
+_NONE = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -156,10 +161,19 @@ def _between(source: FirstRow | np.ndarray) -> tuple[Between, int]:
 
     A row is scanned, so it is read from ``WINDOW`` positions on; an array is
     searched, so its first window is unbounded and reads every usable offset.
+    A row's scan reads only the parts of ``[lo, hi)`` inside the runs of live
+    windows its copy wrote.  A dead window holds only +0.0 bits, so no offset
+    lies outside the runs, and reading the increasing runs in turn gives the
+    same offsets in the same order as reading all of ``[lo, hi)``.
     """
     if isinstance(source, FirstRow):
-        entries = source.entries
-        return lambda lo, hi: np.flatnonzero(entries[lo:hi] != 0.0) + lo, WINDOW
+        entries, runs = source.entries, source._runs
+
+        def scan(lo: int, hi: int) -> np.ndarray:
+            parts = [np.flatnonzero(entries[a:b] != 0.0) + a
+                     for a, b in ((max(a, lo), min(b, hi)) for a, b in runs) if a < b]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts or [_NONE])
+        return scan, WINDOW
     return (lambda lo, hi: source[source.searchsorted(lo):source.searchsorted(hi)],
             sys.maxsize)
 

@@ -66,6 +66,17 @@ class TestFirstRow:
             # a complex array whose imaginary parts are all zero is its real part
             assert FirstRow(np.array([0, 1 + 0j, -2])).entries.tolist() == [0.0, 1.0, -2.0]
 
+    def test_refuses_booleans_and_strings(self):
+        # numpy's float64 cast would make numbers of them; the CLI's JSON reader refuses them too
+        for bad in (['1.5', '2'], [True, False], [0.0, True], [np.bool_(True)], [b'1'],
+                    np.array([True, False]), np.array(['1.5']), np.array([b'1', b'2']),
+                    np.array([1, True], dtype=object), np.array([2.0, '3'], dtype=object)):
+            with pytest.raises(ValueError, match="not booleans or strings"):
+                FirstRow(bad)
+        # integers beyond int64 in an object list are numbers
+        assert FirstRow([10**30, 1]).entries.tolist() == [1e30, 1.0]
+        assert FirstRow(np.array([10**30, 1], dtype=object)).entries.tolist() == [1e30, 1.0]
+
     def test_converted_input_is_copied_once(self):
         n = 1 << 20
         for source in (np.arange(n), list(range(n // 16))):
@@ -124,6 +135,18 @@ class TestWindowedCopy:
         assert np.array_equal(_bits(FirstRow(-x).entries), _bits(-x))
         # a row with no nonzero bit at all is +0.0 throughout
         assert not _bits(FirstRow(np.zeros(n)).entries).any()
+
+    def test_runs_are_the_live_windows(self, cut):
+        n = 3 * W + 5
+        x = np.zeros(n)
+        x[[W + 7, 2 * W - 1]] = [-0.0, 2.0]
+        # past the cut a row is its live windows and the partial one at the end
+        expected = [(W, 2 * W), (3 * W, n)] if cut == "windowed" else [(0, n)]
+        assert FirstRow(x)._runs == expected
+        # converted and adopted rows are one run, as is the row row_from_offsets makes
+        for row in (FirstRow(x.astype(np.float32)), FirstRow(x.tolist()), FirstRow(x, _adopt=True),
+                    row_from_offsets(n, [2 * W - 1])):
+            assert row._runs == [(0, n)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_in_a_live_window_after_dead_ones(self, bad, cut):
@@ -224,6 +247,13 @@ class TestOffsetSet:
             for offsets in (np.array([1 + 2j]), np.array([2 + 0j, 3 + 0j]), [1 + 2j], [2, 3j]):
                 with pytest.raises(ValueError, match="integers"):
                     OffsetSet(5, offsets)
+
+    def test_rejects_booleans_and_strings(self):
+        for offsets in ([True], [1, True], np.array([True]), ['2'], [b'2'], np.array(['2', '3']),
+                        np.array([2, True], dtype=object)):
+            with pytest.raises(ValueError, match="not booleans or strings"):
+                OffsetSet(5, offsets)
+        assert OffsetSet(5, np.array([2, 3], dtype=object)).offsets.tolist() == [2, 3]
 
     def test_rejects_fractional(self):
         for offsets in ([1.5, 2.9], [1, 2.5], np.array([2.0, 3.25])):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from toeplitz_fnf import (ComponentIndexSequence, FirstRow, FnfBlock, FnfResult, compute_fnf,
                           row_from_offsets)
-from toeplitz_fnf import fnf
+from toeplitz_fnf import core, fnf
 
 import reference
 from conftest import random_instance, sweep_instances
@@ -377,3 +377,21 @@ class TestCanonicalLabelOrder:
         lo = 1 + quarter * (n - 1) // 4
         offsets = sorted({lo + p % (n - lo) for p in picks}) if n > lo else []
         _assert_canonical_labels(n, offsets)
+
+
+class TestWindowedRowCopies:
+    """The decomposition is the same whichever windows ``FirstRow`` copied the row in."""
+
+    def test_sweep_through_windowed_copies(self, monkeypatch):
+        # every row windowed, in windows of 3 positions: runs begin and end
+        # next to most offsets, and reduce scans only inside them
+        rows = [row_from_offsets(n, offsets) for n, offsets in sweep_instances()]
+        expected = [compute_fnf(row) for row in rows]
+        monkeypatch.setattr(core, "_WHOLE", 0)
+        monkeypatch.setattr(core, "_WINDOW", 3)
+        for row, default, (n, offsets) in zip(rows, expected, sweep_instances()):
+            res = compute_fnf(FirstRow(row.entries))
+            assert res.cis.rho.tolist() == reference.union_find_labels(n, offsets)
+            assert np.array_equal(res.cis.rho, default.cis.rho)
+            assert np.array_equal(res.permutation, default.permutation)
+            assert np.array_equal(res.block_bounds, default.block_bounds)

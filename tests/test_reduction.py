@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toeplitz_fnf.reduction as reduction
+from toeplitz_fnf import core
 from toeplitz_fnf import (
     ALPHA,
     BETA,
@@ -235,6 +236,26 @@ def _row(n: int, offsets, a0: float = 0.0) -> FirstRow:
     return FirstRow(entries)
 
 
+#: ``(n, offsets)``: rows whose offsets sit at the edges of the scan's windows
+EDGE_ROWS = [
+    (1, []),                                        # all zero, n = 1
+    (2, []),                                        # all zero, n = 2
+    (2, [1]),                                       # s0 = n - 1 with a beta step
+    (9, [8]),                                       # s0 = n - 1 with an alpha step
+    (3 * W, [3 * W - 1]),                           # s0 = n - 1 past two windows
+    (3 * W, []),                                    # all zero past several windows
+    (3 * W, [W + 4, 2 * W + 8, 2 * W + 10]),        # first nonzero past the first window
+    (3 * W, [2 * W - 2, 2 * W + 5, 3 * W - 2]),     # alpha first step past a window
+    (4 * W, [6, W, W + 1]),                         # d: 6 -> 2 at a window's end -> 1 next
+    (4 * W, [6, W - 1, W + 1, 4 * W - 5]),          # d: 6 -> 3 inside, -> 1 at next start
+    (3 * W + 1, [40000, 100000, 170000, 190000]),  # n - d grows past s0's bound; 190000 kept
+    (W + 4, [3, W + 1]),                            # the offset n - d opens a window
+    (12, [3, 10]),                                  # n + 1 - d ends a window, unread
+    (10**5, [40000, 62000]),                        # 62000 > n - s0 shares s0's window
+    (10**5, [40000, 50000, 62000]),                 # ... and is read once d falls
+]
+
+
 @st.composite
 def sparse_rows(draw):
     """Rows of order up to 400 whose offsets are mostly multiples of one step.
@@ -272,23 +293,7 @@ class TestReduceFromRow:
     def test_matches_offset_set(self, row):
         self.assert_matches_offsets(row)
 
-    @pytest.mark.parametrize("n, offsets", [
-        (1, []),                                        # all zero, n = 1
-        (2, []),                                        # all zero, n = 2
-        (2, [1]),                                       # s0 = n - 1 with a beta step
-        (9, [8]),                                       # s0 = n - 1 with an alpha step
-        (3 * W, [3 * W - 1]),                           # s0 = n - 1 past two windows
-        (3 * W, []),                                    # all zero past several windows
-        (3 * W, [W + 4, 2 * W + 8, 2 * W + 10]),        # first nonzero past the first window
-        (3 * W, [2 * W - 2, 2 * W + 5, 3 * W - 2]),     # alpha first step past a window
-        (4 * W, [6, W, W + 1]),                         # d: 6 -> 2 at a window's end -> 1 next
-        (4 * W, [6, W - 1, W + 1, 4 * W - 5]),          # d: 6 -> 3 inside, -> 1 at next start
-        (3 * W + 1, [40000, 100000, 170000, 190000]),  # n - d grows past s0's bound; 190000 kept
-        (W + 4, [3, W + 1]),                            # the offset n - d opens a window
-        (12, [3, 10]),                                  # n + 1 - d ends a window, unread
-        (10**5, [40000, 62000]),                        # 62000 > n - s0 shares s0's window
-        (10**5, [40000, 50000, 62000]),                 # ... and is read once d falls
-    ])
+    @pytest.mark.parametrize("n, offsets", EDGE_ROWS)
     def test_edge_rows(self, n, offsets):
         for a0 in (0.0, 1.0):
             self.assert_matches_offsets(_row(n, offsets, a0))
@@ -374,6 +379,73 @@ class TestReduceFromRow:
         monkeypatch.setattr(reduction, "WINDOW", 1)
         assert reduce(OffsetSet(n, offsets)) == reduce(_row(n, offsets))
         assert calls[:len(reads)] == reads
+
+
+class TestLiveWindowReader:
+    """A row copied in windows is scanned only inside the runs of live windows it wrote.
+
+    Every row is copied again with ``core._WHOLE`` at 0 and ``core._WINDOW``
+    at 1 to 4, so the runs begin and end next to most offsets, and then
+    reduced with the scan's first window at 1, 2, 3 and ``WINDOW``.
+    """
+
+    @staticmethod
+    def assert_matches_offsets(row: FirstRow) -> None:
+        expected = reduce(offsets_from_row(row))
+        for core_window in (1, 2, 3, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_WHOLE", 0)
+                mp.setattr(core, "_WINDOW", core_window)
+                windowed = FirstRow(row.entries)
+                for window in (1, 2, 3, W):
+                    mp.setattr(reduction, "WINDOW", window)
+                    assert reduce(windowed) == expected, f"_WINDOW={core_window}, WINDOW={window}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=sparse_rows())
+    def test_matches_offset_set(self, row):
+        self.assert_matches_offsets(row)
+
+    @pytest.mark.parametrize("n, offsets", EDGE_ROWS)
+    def test_edge_rows(self, n, offsets):
+        for a0 in (0.0, 1.0):
+            self.assert_matches_offsets(_row(n, offsets, a0))
+
+    @pytest.mark.parametrize("n, entries", [
+        (49, {12: 1.0, 23: 2.0, 24: -1.0, 35: 3.0}),    # nonzeros at run edges for every window
+        (50, {6: 2.0, 25: -0.0, 40: 4.0}),              # a live window holding only -0.0
+        (50, {10: 5e-324, 30: 2.0}),                    # a subnormal alone in its window
+        (49, {8: 1.0, 48: 1.0}),                        # the partial last window
+        (50, {30: 1.0, 37: 1.0, 49: 1.0}),              # alpha first move across runs
+        (50, {4: 1.0, 6: -0.0, 41: 1.0, 46: 1.0}),      # d: 4 -> 2 -> 1 across runs
+    ])
+    def test_window_edge_rows(self, n, entries):
+        for a0 in (0.0, 3.0, -0.0):  # a nonzero a_0 makes the first window live
+            row = np.zeros(n)
+            row[0] = a0
+            row[list(entries)] = list(entries.values())
+            self.assert_matches_offsets(FirstRow(row))
+
+    def test_sparse_row_is_scanned_in_its_live_windows_only(self):
+        # d = 2 keeps the first move scanning to n - 2, but the row's nonzeros
+        # lie in three windows, and a dead window holds no offset
+        n, w = 1 << 23, core._WINDOW
+        entries = np.zeros(n)
+        entries[[2, 50 * w + 6, 100 * w + 8, 101 * w - 2]] = [1.0, 2.0, 3.0, 4.0]
+        row = FirstRow(entries)
+        scanned = []
+
+        class Counted(np.ndarray):
+            """Entries that count the positions each slice of them holds."""
+
+            def __getitem__(self, key):
+                part = super().__getitem__(key)
+                scanned.append(np.size(part))
+                return part
+        row.entries = row.entries.view(Counted)
+        trace, c = reduce(row)
+        assert c == 2 and [(s.kind, s.d) for s in trace.steps] == [(BETA, 2)]
+        assert 0 < sum(scanned) <= 3 * w
 
 
 class TestStepAndTraceInvariants:

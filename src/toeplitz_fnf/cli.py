@@ -276,15 +276,16 @@ def _decimal(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
     return grid.reshape(-1) if uniform else grid[keep], count
 
 
-def _row_tokens(entries: np.ndarray, sep: str):
+def _row_tokens(row: FirstRow, sep: str):
     """Each row entry's token id, and a writer of ids as bytes with each one's byte count.
 
-    Each nonzero entry is formatted once: integral values as plain integers
-    (``1e300`` in full), others by their float repr.  All zeros (``-0.0``
-    too) share token 0, ``0``.  Every token is followed by ``sep``.  A pass at most one
-    in 32 nonzero is written as slices of a text of ``0`` tokens and the nonzero tokens.
+    Each nonzero entry (the row's ``support``) is formatted once: integral
+    values as plain integers (``1e300`` in full), others by their float repr.
+    All zeros (``-0.0`` too) share token 0, ``0``.  Every token is followed by
+    ``sep``.  A pass at most one in 32 nonzero is written as slices of a text
+    of ``0`` tokens and the nonzero tokens.
     """
-    nonzero = np.flatnonzero(entries)
+    entries, nonzero = row.entries, row.support()
     texts, counts = [("0" + sep).encode("ascii")], [np.ones(1, dtype=np.int64)]
     for at in range(0, nonzero.size, CHUNK):
         chunk = [str(int(x)) if x.is_integer() else repr(x)
@@ -335,7 +336,7 @@ def _body(result: FnfResult, sep: str, joiner: str, batch):
     and ``\\2``.  The vertex texts are kept: they are the permutation's.
     """
     perm, bounds = result.permutation, result.block_bounds
-    token, write_row = _row_tokens(result.row.entries, sep)
+    token, write_row = _row_tokens(result.row, sep)
     write_vertices = partial(_decimal, sep=sep)
     last_sep = "\0" + sep[1:]
     permutation, start = [], 0
@@ -492,7 +493,7 @@ def _reconstruction_exact(row: FirstRow, result: FnfResult, labels, offsets) -> 
 def verify_row(row: FirstRow, budget: int = DEFAULT_VERIFY_BUDGET) -> VerifyReport:
     """Judge ``compute_fnf(row)`` exactly if ``n + sum(n - s)``, nonzero ``s``, fits ``budget``."""
     n = row.n
-    offsets = np.flatnonzero(row.entries[1:]) + 1
+    offsets = row.support(1)
     units = n + int((n - offsets).sum())
     if units > budget:
         raise InputError(f"{units} work units exceed the budget {budget}; use --budget {units}")

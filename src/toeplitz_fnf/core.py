@@ -9,6 +9,7 @@ up front and never materialises the matrix.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ class FirstRow:
     before constructing the row.  The row owns its entries: other input is
     converted to float64 once, and a float64 array is copied, a sparse one
     into memory for its nonzero windows only (see ``_copied``), which are all
-    that ``reduce`` reads of it.
+    that :meth:`support` reads of it.
     """
 
     __slots__ = ("entries", "_runs")
@@ -72,6 +73,17 @@ class FirstRow:
     @property
     def n(self) -> int:
         return self.entries.size
+
+    def support(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The increasing indices ``lo <= i < hi`` with ``a_i != 0``; ``hi`` defaults to ``n``.
+
+        Only the row's runs are read, in order: a dead window holds only +0.0
+        bits, so no nonzero entry lies outside them.
+        """
+        hi = self.entries.size if hi is None else hi
+        parts = [np.flatnonzero(self.entries[a:b] != 0.0) + a
+                 for a, b in ((max(a, lo), min(b, hi)) for a, b in self._runs) if a < b]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0, np.intp)])
 
     def __len__(self) -> int:
         return self.entries.size
@@ -154,7 +166,13 @@ class OffsetSet:
     __slots__ = ("n", "offsets")
 
     def __init__(self, n: int, offsets: Iterable[int] | np.ndarray) -> None:
-        raw = offsets if isinstance(offsets, np.ndarray) else list(offsets)
+        if (isinstance(n, (bool, np.bool_)) or not isinstance(n, Real)
+                or not 1 <= n < 2**63 or n % 1):
+            raise ValueError(f"order must be an integer in [1, 2**63 - 1], got {n!r}")
+        n = int(n)
+        # a scalar becomes a 0-d array, which the one-dimensional check refuses
+        listed = isinstance(offsets, Iterable) and not isinstance(offsets, np.ndarray)
+        raw = list(offsets) if listed else np.asarray(offsets)
         if not _numeric(raw):
             raise ValueError("offsets must be integers, not booleans or strings")
         if isinstance(raw, np.ndarray) and raw.dtype.kind == "c":  # the cast would warn first
@@ -175,8 +193,6 @@ class OffsetSet:
         # the int64 cast truncates, so compare with what was passed in
         if np.any(arr != raw):
             raise ValueError("offsets must be integers")
-        if n < 1:
-            raise ValueError(f"order must be at least 1, got {n}")
         if arr.ndim != 1:
             raise ValueError("offsets must be one-dimensional")
         if arr.size:
@@ -185,7 +201,7 @@ class OffsetSet:
             if np.any(arr[1:] <= arr[:-1]):
                 raise ValueError("offsets must be strictly increasing")
         arr.setflags(write=False)
-        self.n = int(n)
+        self.n = n
         self.offsets = arr
 
     def __len__(self) -> int:

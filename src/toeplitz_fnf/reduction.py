@@ -21,16 +21,10 @@ shrinks the order by a factor below 2/3.  The recorded
 :class:`ReductionTrace` is all that is needed to label every vertex of the
 original instance afterwards.
 
-The first move may read a row in place: its offsets in increasing order
-until ``d`` is final (for beta: none past ``n - d``, none once ``d == 1``),
-then only those it keeps, from ``min(S)`` for alpha and above ``n - d`` for
-beta.  A row is read in windows from ``WINDOW`` positions wide, so one with
-``a_1 != 0`` is read in one window.  Within a window only the runs of live
-windows that :class:`FirstRow` wrote when it copied the row are read: a
-sparse row's offsets are collected from its few nonzero windows, not from
-all ``n`` positions, and a dense, short or adopted row is one run.  An
-offset array is searched in one unbounded window, which is cut by the bound
-of each ``d`` in turn.
+The first move may read a row in place, through :meth:`FirstRow.support`:
+its offsets in increasing order until ``d`` is final, then only those it
+keeps.  A row is read in windows from ``WINDOW`` positions wide, so one with
+``a_1 != 0`` is read in one window; an offset array in one unbounded window.
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ BETA = "beta"
 WINDOW = 65_536
 #: ``between(lo, hi)``: the offsets ``lo <= s < hi``, increasing, for ``lo >= 1``
 Between = Callable[[int, int], np.ndarray]
-_NONE = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -80,6 +73,9 @@ class ReductionStep:
     def __post_init__(self) -> None:
         if self.kind not in (ALPHA, BETA):
             raise ValueError(f"unknown step kind {self.kind!r}")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.n_before, self.d)):
+            raise ValueError(f"n_before and d must be integers, got {self.n_before!r}, {self.d!r}")
         if not 1 <= self.d < self.n_before:
             raise ValueError(f"step needs 1 <= d < n_before, got d={self.d} "
                              f"with n_before={self.n_before}")
@@ -109,8 +105,9 @@ class ReductionTrace:
     n_final: int
 
     def __post_init__(self) -> None:
-        if self.n_final < 1:
-            raise ValueError(f"terminal order must be at least 1, got {self.n_final}")
+        if (not isinstance(self.n_final, (int, np.integer)) or isinstance(self.n_final, bool)
+                or self.n_final < 1):
+            raise ValueError(f"terminal order must be an integer at least 1, got {self.n_final!r}")
         for prev, nxt in zip(self.steps, self.steps[1:]):
             if prev.n_after != nxt.n_before:
                 raise ValueError(
@@ -141,39 +138,25 @@ def reachability_divisor(n: int, offsets: Iterable[int] | np.ndarray) -> int:
 
     Requires a nonempty offset set with ``2 * min(offsets) <= n``.
     """
-    return _divisor(n, *_between(_checked(n, offsets, BETA)))
+    return _divisor(*_checked(n, offsets, BETA))
 
 
-def _checked(n: int, offsets: Iterable[int] | np.ndarray, kind: str) -> np.ndarray:
-    """The validated offsets, nonempty and with ``2 * min`` above ``n`` iff ``kind`` is alpha."""
-    s_arr = OffsetSet(n, offsets).offsets
-    if s_arr.size == 0:
+def _checked(n: int, offsets: Iterable[int] | np.ndarray, kind: str) -> tuple[int, Between, int]:
+    """The set's ``n`` and reader, checked nonempty with ``2 * min > n`` iff ``kind`` is alpha."""
+    s = OffsetSet(n, offsets)
+    if len(s) == 0:
         raise ValueError("offset set must be nonempty")
-    if (2 * s_arr[0] > n) != (kind == ALPHA):
+    if (2 * s.offsets[0] > s.n) != (kind == ALPHA):
         need = ">" if kind == ALPHA else "<="
-        raise ValueError(f"need 2*min(offsets) {need} n, got min={s_arr[0]} with n={n}")
-    return s_arr
+        raise ValueError(f"need 2*min(offsets) {need} n, got min={s.offsets[0]} with n={s.n}")
+    return s.n, *_between(s.offsets)
 
 
 def _between(source: FirstRow | np.ndarray) -> tuple[Between, int]:
-    """A row's nonzero entries past ``a_0``, or a strictly increasing array's values,
-    and the width of the first window to read them in.
-
-    A row is scanned, so it is read from ``WINDOW`` positions on; an array is
-    searched, so its first window is unbounded and reads every usable offset.
-    A row's scan reads only the parts of ``[lo, hi)`` inside the runs of live
-    windows its copy wrote.  A dead window holds only +0.0 bits, so no offset
-    lies outside the runs, and reading the increasing runs in turn gives the
-    same offsets in the same order as reading all of ``[lo, hi)``.
-    """
+    """A reader of a row's ``support`` or of a strictly increasing array's values,
+    and the width of its first window: ``WINDOW`` for a row, unbounded for an array."""
     if isinstance(source, FirstRow):
-        entries, runs = source.entries, source._runs
-
-        def scan(lo: int, hi: int) -> np.ndarray:
-            parts = [np.flatnonzero(entries[a:b] != 0.0) + a
-                     for a, b in ((max(a, lo), min(b, hi)) for a, b in runs) if a < b]
-            return parts[0] if len(parts) == 1 else np.concatenate(parts or [_NONE])
-        return scan, WINDOW
+        return source.support, WINDOW
     return (lambda lo, hi: source[source.searchsorted(lo):source.searchsorted(hi)],
             sys.maxsize)
 
@@ -227,7 +210,7 @@ def alpha_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.n
     width (and the exact component loss), ``n' = n - m``, and every offset
     is shifted down by ``m``.
     """
-    step, s_arr = _move(n, *_between(_checked(n, offsets, ALPHA)))
+    step, s_arr = _move(*_checked(n, offsets, ALPHA))
     return step.n_after, s_arr, step.c
 
 
@@ -240,7 +223,7 @@ def beta_reduce(n: int, offsets: Iterable[int] | np.ndarray) -> tuple[int, np.nd
     ``d`` itself joins the set whenever ``d`` does not divide ``n``.  The
     component count of the associated graph is unchanged.
     """
-    step, s_arr = _move(n, *_between(_checked(n, offsets, BETA)))
+    step, s_arr = _move(*_checked(n, offsets, BETA))
     return step.n_after, s_arr, step.d
 
 

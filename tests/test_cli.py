@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from conftest import LABEL_DTYPE_ROWS
 from toeplitz_fnf import ComponentIndexSequence, FirstRow, row_from_offsets
-from toeplitz_fnf import cli
+from toeplitz_fnf import cli, core
 from toeplitz_fnf.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -536,12 +536,35 @@ class TestWriterBytes:
         at = [0, -1] if nonzeros == 2 else np.random.default_rng(nonzeros).permutation(
             cli.PASS)[:nonzeros]
         entries[at] = (np.arange(nonzeros) + 0.5) / 8  # no integral value: each token is its repr
-        ids, write = cli._row_tokens(entries, ", ")
+        ids, write = cli._row_tokens(FirstRow(entries), ", ")
         for lo, hi in ((0, cli.PASS), (1, cli.PASS // 2), (cli.PASS - 3, cli.PASS)):
             tokens = [("0" if x == 0 else repr(x)) + ", " for x in entries[lo:hi].tolist()]
             data, count = write(ids[lo:hi])
             assert str(data, "ascii") == "".join(tokens)
             assert count.tolist() == list(map(len, tokens))
+
+    def test_sparse_row_is_read_in_its_live_windows_only(self):
+        # the row's four nonzeros lie in three of its 128 windows; a dead window
+        # holds only +0.0, so the tokens are found without reading it
+        n, w = 1 << 23, core._WINDOW
+        at = [2, 50 * w + 6, 100 * w + 8, 101 * w - 2]
+        entries = np.zeros(n)
+        entries[at] = [1.0, 2.5, -3.0, 4.0]
+        row = FirstRow(entries)
+        scanned = []
+
+        class Counted(np.ndarray):
+            """Entries that count the positions each slice of them holds."""
+
+            def __getitem__(self, key):
+                part = super().__getitem__(key)
+                scanned.append(np.size(part))
+                return part
+        row.entries = row.entries.view(Counted)
+        ids, write = cli._row_tokens(row, ",")
+        assert 0 < sum(scanned) <= 3 * w + len(at)
+        assert np.flatnonzero(ids).tolist() == at
+        assert str(write(ids[at])[0], "ascii") == "1,2.5,-3,4,"  # integral values as integers
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
     def test_decimal_matches_str(self, dtype):

@@ -38,6 +38,11 @@ class TestFirstRow:
     def test_order_one_is_legal(self):
         assert FirstRow([7.0]).n == 1
 
+    def test_rejects_scalars(self):
+        for scalar in (5, 5.0, np.float64(5), np.array(5.0)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                FirstRow(scalar)
+
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
@@ -210,6 +215,58 @@ print(grown)
         assert int(done.stdout) < 8 * n // 4
 
 
+class TestSupport:
+    """``FirstRow.support(lo, hi)`` reads only inside the row's runs and finds every nonzero."""
+
+    @staticmethod
+    def rows():
+        """Rows of order 1 to 50 with -0.0, a subnormal and a partial last window."""
+        yield np.zeros(1)
+        yield np.array([-0.0, 5e-324])
+        rng = np.random.default_rng(26)
+        for n in (7, 12, 49, 50):
+            x = np.zeros(n)
+            at = rng.choice(n, size=n // 6, replace=False)
+            x[at] = rng.choice([1.0, -3.5, 5e-324, -0.0], size=at.size)
+            x[n // 2:n // 2 + 9] = 0.0  # dead windows for every _WINDOW up to 4
+            x[-1] = 2.0  # in the partial last window
+            yield x
+
+    @staticmethod
+    def assert_support(row, rng):
+        n = row.n
+        # the last span lies in the zeroed stretch; at n = 49, in dead windows at every _WINDOW
+        spans = [(0, n), (0, 0), (n, n), (1, n), (n // 2 + 1, n // 2 + 4)]
+        spans += [tuple(sorted(rng.integers(0, n + 1, size=2).tolist())) for _ in range(30)]
+        for lo, hi in spans:
+            expected = np.flatnonzero(row.entries[lo:hi] != 0.0) + lo
+            assert np.array_equal(row.support(lo, hi), expected), (n, lo, hi, row._runs)
+        assert np.array_equal(row.support(), np.flatnonzero(row.entries))
+        assert np.array_equal(row.support(3), np.flatnonzero(row.entries[3:]) + 3)
+
+    def test_windowed_copies(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(core, "_WHOLE", 0)
+        split = 0
+        for window in (1, 2, 3, 4):
+            monkeypatch.setattr(core, "_WINDOW", window)
+            for x in self.rows():
+                row = FirstRow(x)
+                split += len(row._runs) > 1
+                if x.size == 49:
+                    assert all(b <= 25 or a >= 28 for a, b in row._runs), window
+                self.assert_support(row, rng)
+                self.assert_support(FirstRow(-x), rng)
+        assert split > 10  # most copies are several runs
+
+    def test_adopted_and_converted_rows(self):
+        rng = np.random.default_rng(1)
+        for x in self.rows():
+            for row in (FirstRow(x), FirstRow(x.copy(), _adopt=True), FirstRow(x.tolist()),
+                        FirstRow(x.astype(np.float32))):
+                self.assert_support(row, rng)
+
+
 class TestOffsetSet:
     def test_empty_is_legal(self):
         s = OffsetSet(5, [])
@@ -273,6 +330,34 @@ class TestOffsetSet:
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             OffsetSet(10, [[1, 2]])
+
+    def test_rejects_scalar_offsets(self):
+        for offsets in (3, 3.0, np.int64(3), np.array(3)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                OffsetSet(5, offsets)
+
+    def test_order_is_a_whole_number_in_int64(self):
+        for n in (True, False, np.bool_(True), 5.5, np.float64(6.5), 0, -3, 2**63, 2**70,
+                  float("nan"), float("inf"), "5", 5 + 0j, None):
+            with pytest.raises(ValueError, match="order"):
+                OffsetSet(n, [1] if n is not False else [])
+        # an integral float or numpy integer is the int it equals, as integral offsets are
+        for n in (5.0, np.float64(5), np.int64(5), np.uint8(5)):
+            s = OffsetSet(n, [2, 4])
+            assert s.n == 5 and type(s.n) is int and s == OffsetSet(5, [2, 4])
+        top = OffsetSet(2**63 - 1, [1])
+        assert top.n == 2**63 - 1
+
+    def test_public_moves_compute_with_the_sets_order(self):
+        for move, n, offsets in ((alpha_reduce, 5.5, [4]), (beta_reduce, 6.5, [2]),
+                                 (reachability_divisor, 6.5, [2]), (alpha_reduce, True, [])):
+            with pytest.raises(ValueError, match="order"):
+                move(n, offsets)
+        n_after, offsets, m = alpha_reduce(5.0, [4])
+        assert (n_after, offsets.tolist(), m) == (2, [1], 3) and type(n_after) is int
+        n_after, offsets, d = beta_reduce(np.float64(6), [2])
+        assert (n_after, offsets.tolist(), d) == (2, [], 2) and type(n_after) is int
+        assert reachability_divisor(10.0, [4, 6]) == 2
 
     def test_equality(self):
         assert OffsetSet(10, [2, 5]) == OffsetSet(10, np.array([2, 5]))

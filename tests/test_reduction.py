@@ -480,6 +480,16 @@ class TestStepAndTraceInvariants:
             ReductionTrace((ReductionStep(BETA, 31, 6),
                             ReductionStep(ALPHA, 9, 6)), 6)  # 9 != 7 breaks the chain
 
+    def test_orders_and_divisors_are_integers(self):
+        for n_before, d in ((31.0, 6), (31, 6.0), (True, 1), (3, True), (31, "6"), (7.5, 5)):
+            with pytest.raises(ValueError, match="must be integers"):
+                ReductionStep(BETA, n_before, d)
+        for n_final in (1.5, 4.0, True, None):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ReductionTrace((), n_final)
+        assert ReductionStep(BETA, np.int64(31), np.int32(6)).n_after == 7
+        assert ReductionTrace((), np.int64(3)).component_count == 3
+
     def test_component_count_formula(self):
         trace, _ = reduce(OffsetSet(31, [12, 18, 24, 29]))
         assert trace.component_count == sum(s.c for s in trace.steps) + trace.n_final

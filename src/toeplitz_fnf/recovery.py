@@ -105,6 +105,8 @@ class ComponentIndexSequence:
     __slots__ = ("n", "c", "rho")
 
     def __init__(self, n: int, c: int, rho: np.ndarray) -> None:
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, c)):
+            raise ValueError(f"order and component count must be integers, got {n!r}, {c!r}")
         rho = np.array(rho)
         if n < 1:
             raise ValueError(f"order must be at least 1, got {n}")

@@ -1,3 +1,4 @@
+import mmap
 import os
 import subprocess
 import sys
@@ -145,13 +146,66 @@ class TestWindowedCopy:
         n = 3 * W + 5
         x = np.zeros(n)
         x[[W + 7, 2 * W - 1]] = [-0.0, 2.0]
-        # past the cut a row is its live windows and the partial one at the end
+        # past the cut a sparse row is the positions of its nonzero bits, and no run
+        row = FirstRow(x)
+        if cut == "windowed":
+            assert row._runs == [] and row._at.tolist() == [W + 7, 2 * W - 1]
+        else:
+            assert row._runs == [(0, n)] and row._at is None
+        # a dense one is its live windows and the partial one at the end
+        x[W + 100:W + 100 + n // core._SPARSE + 1] = 1.0
         expected = [(W, 2 * W), (3 * W, n)] if cut == "windowed" else [(0, n)]
-        assert FirstRow(x)._runs == expected
+        assert FirstRow(x)._runs == expected and FirstRow(x)._at is None
         # converted and adopted rows are one run, as is the row row_from_offsets makes
         for row in (FirstRow(x.astype(np.float32)), FirstRow(x.tolist()), FirstRow(x, _adopt=True),
                     row_from_offsets(n, [2 * W - 1])):
-            assert row._runs == [(0, n)]
+            assert row._runs == [(0, n)] and row._at is None
+
+    def test_runs_do_not_depend_on_where_the_count_stopped(self, monkeypatch):
+        # a dense row keeps the count's liveness for the windows it read and
+        # probes the rest: its runs are those of a count that stops at once
+        monkeypatch.setattr(core, "_WHOLE", 0)
+        rng = np.random.default_rng(27)
+        for window in (1, 2, 3, 4):
+            monkeypatch.setattr(core, "_WINDOW", window)
+            for n in (12, 49, 50):
+                x = np.zeros(n)
+                x[rng.choice(n, size=n // 5, replace=False)] = rng.choice([1.0, -0.0, 5e-324], n // 5)
+                x[n // 3:n // 3 + 9] = 0.0  # dead windows between live ones
+                x[-3:] = 1.0  # dense at the end: every count stops by then
+                monkeypatch.setattr(core, "_SPARSE", n + 1)
+                expected = FirstRow(x)._runs
+                for sparse in range(1, n + 1):
+                    monkeypatch.setattr(core, "_SPARSE", sparse)
+                    row = FirstRow(x)
+                    assert np.array_equal(_bits(row.entries), _bits(x))
+                    if row._at is None:
+                        assert row._runs == expected, (window, n, sparse)
+
+    def test_sparse_rows_are_copied_entry_by_entry(self):
+        # past the cut, on real pages: -0.0 and a subnormal alone in their
+        # windows, nonzeros at window edges and in the partial window at the end
+        n = core._WHOLE + 5
+        x = np.zeros(n)
+        at = [0, W - 1, W, 2 * W - 1, 3 * W + 7, 5 * W + 9, n - 1]
+        x[at] = [3.0, 1.5, -2.0, 4.0, -0.0, 5e-324, 7.0]
+        # and a row with one nonzero in every window, the partial one too: all live, still sparse
+        every = np.zeros(n)
+        every[W // 2::W] = np.arange(1, n // W + 1)
+        every[-1] = -1.0
+        for source in (x, every, np.zeros(n)):
+            row = FirstRow(source)
+            assert row._runs == [] and row._at.tolist() == np.flatnonzero(_bits(source)).tolist()
+            assert np.array_equal(_bits(row.entries), _bits(source))
+            assert np.array_equal(row.support(), np.flatnonzero(source))
+            assert not np.shares_memory(row.entries, source) and not row.entries.flags.writeable
+        assert np.unique(FirstRow(every)._at // W).size == -(-n // W)
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in (2 * W + 3, n - 1):
+                y = x.copy()
+                y[i] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    FirstRow(y)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_in_a_live_window_after_dead_ones(self, bad, cut):
@@ -187,9 +241,9 @@ class TestWindowedCopy:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
     def test_sparse_row_copy_holds_only_its_live_windows(self):
-        # the resident set over the copy of a row whose nonzeros lie in one
-        # window; tracemalloc counts np.zeros at its full size, so it cannot
-        # see what stays unbacked
+        # the anonymous resident set (resident less file-backed pages, which
+        # the first call's code brings in) over the copy of a row with two
+        # nonzeros; tracemalloc cannot see what stays unbacked
         n = 1 << 23
         script = f"""
 import os
@@ -198,7 +252,8 @@ from toeplitz_fnf import FirstRow
 
 def resident():
     with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+        size, rss, shared = map(int, fh.read().split()[:3])
+    return (rss - shared) * os.sysconf("SC_PAGE_SIZE")
 
 source = np.empty({n})
 source.fill(0.0)  # every page of the caller's row resident
@@ -212,7 +267,25 @@ print(grown)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, check=True)
-        assert int(done.stdout) < 8 * n // 4
+        assert int(done.stdout) < 64 * 1024
+
+    def test_sparse_copy_falls_back_to_zeros_without_mmap_flags(self, monkeypatch):
+        # where mmap has no private mapping or no huge-page advice the sparse
+        # copy scatters into np.zeros, bit for bit all the same
+        n = core._WHOLE + 5
+        x = np.zeros(n)
+        x[[3, W, 2 * W + 7, n - 1]] = [1.5, -0.0, 5e-324, -2.0]
+        if hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_NOHUGEPAGE"):
+            assert isinstance(FirstRow(x).entries.base.obj, mmap.mmap)
+        for missing in (["MADV_NOHUGEPAGE"], ["MAP_PRIVATE"], ["MADV_NOHUGEPAGE", "MAP_PRIVATE"]):
+            with monkeypatch.context() as m:
+                for name in missing:
+                    m.delattr(mmap, name, raising=False)
+                row = FirstRow(x)
+            assert not isinstance(getattr(row.entries.base, "obj", None), mmap.mmap), missing
+            assert row._at.tolist() == [3, W, 2 * W + 7, n - 1]
+            assert np.array_equal(_bits(row.entries), _bits(x))
+            assert row.support().tolist() == [3, 2 * W + 7, n - 1]
 
 
 class TestSupport:
@@ -258,6 +331,17 @@ class TestSupport:
                 self.assert_support(row, rng)
                 self.assert_support(FirstRow(-x), rng)
         assert split > 10  # most copies are several runs
+
+    def test_sparse_copies(self, monkeypatch):
+        # every row copied entry by entry: support reads only the written positions
+        rng = np.random.default_rng(2)
+        monkeypatch.setattr(core, "_WHOLE", 0)
+        monkeypatch.setattr(core, "_SPARSE", 1)
+        for x in self.rows():
+            for source in (x, -x):  # -x is -0.0 where x is +0.0: every position written
+                row = FirstRow(source)
+                assert row._runs == [] and row._at.tolist() == np.flatnonzero(_bits(source)).tolist()
+                self.assert_support(row, rng)
 
     def test_adopted_and_converted_rows(self):
         rng = np.random.default_rng(1)

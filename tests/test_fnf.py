@@ -380,18 +380,30 @@ class TestCanonicalLabelOrder:
 
 
 class TestWindowedRowCopies:
-    """The decomposition is the same whichever windows ``FirstRow`` copied the row in."""
+    """The decomposition is the same whichever way ``FirstRow`` copied the row."""
 
-    def test_sweep_through_windowed_copies(self, monkeypatch):
-        # every row windowed, in windows of 3 positions: runs begin and end
-        # next to most offsets, and reduce scans only inside them
+    @staticmethod
+    def assert_sweep(monkeypatch, sparse):
         rows = [row_from_offsets(n, offsets) for n, offsets in sweep_instances()]
         expected = [compute_fnf(row) for row in rows]
         monkeypatch.setattr(core, "_WHOLE", 0)
         monkeypatch.setattr(core, "_WINDOW", 3)
+        monkeypatch.setattr(core, "_SPARSE", sparse)
         for row, default, (n, offsets) in zip(rows, expected, sweep_instances()):
-            res = compute_fnf(FirstRow(row.entries))
+            copied = FirstRow(row.entries)
+            # an all-zero row is sparse at every bound
+            assert (copied._at is not None) == (sparse == 1 or len(offsets) == 0)
+            res = compute_fnf(copied)
             assert res.cis.rho.tolist() == reference.union_find_labels(n, offsets)
             assert np.array_equal(res.cis.rho, default.cis.rho)
             assert np.array_equal(res.permutation, default.permutation)
             assert np.array_equal(res.block_bounds, default.block_bounds)
+
+    def test_sweep_through_windowed_copies(self, monkeypatch):
+        # every row windowed, in windows of 3 positions: runs begin and end
+        # next to most offsets, and reduce scans only inside them
+        self.assert_sweep(monkeypatch, sparse=1 << 62)
+
+    def test_sweep_through_sparse_copies(self, monkeypatch):
+        # every row copied entry by entry: reduce reads only the positions written
+        self.assert_sweep(monkeypatch, sparse=1)

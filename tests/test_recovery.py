@@ -96,6 +96,17 @@ class TestComponentIndexSequence:
         with pytest.raises(ValueError, match="component count"):
             ComponentIndexSequence(n=3, c=4, rho=np.array([1, 1, 1]))
 
+    @pytest.mark.parametrize("n, c", [(True, True), (2, True), (np.bool_(True), 1), (2.0, 1),
+                                      (np.float64(2.0), 1), (2, 1.0), (2, np.float64(1.0)),
+                                      (2.5, 1), ("2", 1)])
+    def test_rejects_non_integer_order_and_count(self, n, c):
+        with pytest.raises(ValueError, match="integers"):
+            ComponentIndexSequence(n, c, [1, 1])
+
+    def test_numpy_integers_are_integers(self):
+        cis = ComponentIndexSequence(np.int64(2), np.int32(1), [1, 1])
+        assert (cis.n, cis.c) == (2, 1)
+
     def test_rejects_label_gap(self):
         with pytest.raises(ValueError):
             ComponentIndexSequence(n=3, c=3, rho=np.array([1, 1, 3]))

@@ -385,21 +385,25 @@ class TestLiveWindowReader:
     """A row copied in windows is scanned only inside the runs of live windows it wrote.
 
     Every row is copied again with ``core._WHOLE`` at 0 and ``core._WINDOW``
-    at 1 to 4, so the runs begin and end next to most offsets, and then
-    reduced with the scan's first window at 1, 2, 3 and ``WINDOW``.
+    at 1 to 4, so the runs begin and end next to most offsets, and once entry
+    by entry (``core._SPARSE`` at 1), and then reduced with the scan's first
+    window at 1, 2, 3 and ``WINDOW``.
     """
 
     @staticmethod
     def assert_matches_offsets(row: FirstRow) -> None:
         expected = reduce(offsets_from_row(row))
-        for core_window in (1, 2, 3, 4):
+        for core_window, sparse in ((1, row.n + 1), (2, row.n + 1), (3, row.n + 1),
+                                    (4, row.n + 1), (W, 1)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(core, "_WHOLE", 0)
                 mp.setattr(core, "_WINDOW", core_window)
+                mp.setattr(core, "_SPARSE", sparse)
                 windowed = FirstRow(row.entries)
                 for window in (1, 2, 3, W):
                     mp.setattr(reduction, "WINDOW", window)
-                    assert reduce(windowed) == expected, f"_WINDOW={core_window}, WINDOW={window}"
+                    assert reduce(windowed) == expected, \
+                        f"_WINDOW={core_window}, _SPARSE={sparse}, WINDOW={window}"
 
     @settings(max_examples=200, deadline=None)
     @given(row=sparse_rows())

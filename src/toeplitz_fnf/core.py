@@ -25,11 +25,10 @@ __all__ = [
 ]
 
 
-# a float64 row of at least ``_WHOLE`` entries is copied entry by entry if at most one in
-# ``_SPARSE`` (two small pages) is nonzero, else in windows of ``_WINDOW`` (see ``_copied``)
+# a float64 row of at least ``_WHOLE`` entries, counted in windows of ``_WINDOW``, is
+# copied entry by entry if at most one in ``_SPARSE`` (two small pages) is nonzero
 _WINDOW = 1 << 16
 _WHOLE = 16 * _WINDOW
-_PROBE = 8
 _SPARSE = 2 * mmap.PAGESIZE // 8
 
 
@@ -41,11 +40,11 @@ class FirstRow:
     comparison; callers that want a tolerance should clean their input
     before constructing the row.  The row owns its entries: other input is
     converted to float64 once, and a float64 array is copied, a long sparse
-    one entry by entry onto small pages and a long dense one by its nonzero
-    windows (see ``_copied``); :meth:`support` reads only what the copy wrote.
+    one entry by entry onto small pages (see ``_copied``); :meth:`support`
+    reads only what that copy wrote.
     """
 
-    __slots__ = ("entries", "_runs", "_at")
+    __slots__ = ("entries", "_at")
 
     def __init__(self, entries: Sequence[float] | np.ndarray, *, _adopt: bool = False) -> None:
         # _adopt: ``entries`` is a float64 array its caller made for this row
@@ -56,22 +55,20 @@ class FirstRow:
             raise ValueError(f"first row must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("first row must contain at least one entry")
-        # _runs: the (a, b) spans, or _at: a sparse copy's positions; all else is +0.0
-        runs, at = [(0, arr.size)], None
+        at = None  # a sparse copy's positions, all else +0.0; None: the whole row
         if not _adopt:
             # the caller's float64 array is copied; converted input is new already
             if arr is entries:
-                arr, runs, at = _copied(arr)
-            # a finite sum of squares proves a run finite without a temporary;
-            # the elementwise test runs only when it is not (a non-finite entry,
-            # or an entry so large its square overflows)
+                arr, at = _copied(arr)
+            # a finite sum of squares proves the entries finite without a temporary; the
+            # elementwise test runs only when it is not (a non-finite or very large entry)
             with np.errstate(over="ignore", invalid="ignore"):
-                parts = (arr[a:b] for a, b in runs) if at is None else (arr[at],)
-                if not all(np.isfinite(p @ p) or np.isfinite(p).all() for p in parts):
+                part = arr if at is None else arr[at]
+                if not (np.isfinite(part @ part) or np.isfinite(part).all()):
                     raise ValueError("first row entries must be finite")
         arr.setflags(write=False)
         self.entries = arr
-        self._runs, self._at = runs, at
+        self._at = at
 
     @property
     def n(self) -> int:
@@ -80,16 +77,15 @@ class FirstRow:
     def support(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """The increasing indices ``lo <= i < hi`` with ``a_i != 0``; ``hi`` defaults to ``n``.
 
-        Only the row's runs, or a sparse copy's written positions, are read, in
-        order: every other entry is +0.0, so no nonzero entry lies outside them.
+        Indices outside ``[0, n)`` are none.  A sparse copy is read only at its
+        written positions: every other entry is +0.0, so holds no nonzero.
         """
-        hi = self.entries.size if hi is None else hi
+        # a bound past n is clamped by the slice and the search, a negative one here
+        lo, hi = max(lo, 0), max(self.entries.size if hi is None else hi, 0)
         if self._at is not None:
             at = self._at[self._at.searchsorted(lo):self._at.searchsorted(hi)]
             return at[self.entries[at] != 0.0]
-        parts = [np.flatnonzero(self.entries[a:b] != 0.0) + a
-                 for a, b in ((max(a, lo), min(b, hi)) for a, b in self._runs) if a < b]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0, np.intp)])
+        return np.flatnonzero(self.entries[lo:hi] != 0.0) + lo
 
     def __len__(self) -> int:
         return self.entries.size
@@ -133,45 +129,30 @@ def _real(entries: Sequence[float] | np.ndarray) -> np.ndarray:
         raise ValueError(f"first row entries must be real: {exc}") from exc
 
 
-def _copied(source: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray | None]:
-    """A copy of the float64 row ``source``, bit for bit, with the ``(a, b)`` runs
-    written, or with no run and the positions written if it is sparse.
+def _copied(source: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A copy of the float64 row ``source``, bit for bit, and the positions
+    written if it is sparse, else ``None``.
 
-    A row of fewer than ``_WHOLE`` entries is one ``np.array`` copy, one run.
-    A longer one counts its nonzero int64 bits (``-0.0`` counts) window by
-    window until they pass one per ``_SPARSE`` entries.  A sparse row never
-    does and is scattered into ``_unbacked`` zeros: 6.2 ms, nearly all of it
-    the count, and 0.1 MB for the 25 nonzeros of ``few-blocks`` (``10**7``),
-    against 16 ms and 43 MB for its windows on huge pages.  A dense row gets
-    one slice assignment per run of live windows into ``np.zeros``; a window
-    the count did not reach is live if its first ``_PROBE`` entries, or else
-    any of its entries, are nonzero.  The partial window at the end is always
-    copied.  An entry not written is +0.0, finite and free of offsets.
+    A row of fewer than ``_WHOLE`` entries is one ``np.array`` copy.  A longer
+    one counts its nonzero int64 bits (``-0.0`` counts) window by window until
+    they pass one per ``_SPARSE`` entries.  A sparse row never does and is
+    scattered into ``_unbacked`` zeros: 6.2 ms, nearly all of it the count,
+    and 0.1 MB for the 25 nonzeros of ``few-blocks`` (``10**7``), against
+    15 ms and 80 MB for ``np.array``.  A dense row is one ``np.array`` copy,
+    on huge pages.  An entry not written is +0.0, finite and free of offsets.
     """
     n = source.size
     if n < _WHOLE:
-        return np.array(source), [(0, n)], None
+        return np.array(source), None
     bits, found, spare = source.view(np.int64), [np.empty(0, np.intp)], n // _SPARSE
     for a in range(0, n, _WINDOW):
         if count := np.count_nonzero(bits[a:a + _WINDOW]):
             if (spare := spare - count) < 0:
-                break
+                return np.array(source), None
             found.append(np.flatnonzero(bits[a:a + _WINDOW] != 0) + a)
-    else:
-        copy, at = _unbacked(n), np.concatenate(found)
-        copy[at] = source[at]
-        return copy, [], at
-    windows, counted = bits[:n // _WINDOW * _WINDOW].reshape(-1, _WINDOW), a // _WINDOW
-    live = windows[:, :_PROBE].any(axis=1)
-    live[:counted] = np.bincount(np.concatenate(found) // _WINDOW, minlength=counted) > 0
-    for w in np.flatnonzero(~live[counted:]) + counted:
-        live[w] = np.count_nonzero(windows[w]) > 0
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], live, [True, False]))))
-    copy = np.zeros(n)
-    runs = list(map(tuple, np.minimum(edges * _WINDOW, n).reshape(-1, 2).tolist()))
-    for a, b in runs:
-        copy[a:b] = source[a:b]
-    return copy, runs, None
+    copy, at = _unbacked(n), np.concatenate(found)
+    copy[at] = source[at]
+    return copy, at
 
 
 def _unbacked(n: int) -> np.ndarray:
@@ -268,7 +249,7 @@ def row_from_offsets(n: int, offsets: Iterable[int]) -> FirstRow:
     """Build the first row with ``1`` at each offset and ``0`` elsewhere.
 
     ``offsets`` must meet the :class:`OffsetSet` contract.  The row holds the
-    array made here, finite by construction, as one run: it is not copied.
+    array made here, finite by construction: it is not copied.
     """
     entries = np.zeros(n, dtype=np.float64)
     entries[OffsetSet(n, offsets).offsets] = 1.0
@@ -276,7 +257,9 @@ def row_from_offsets(n: int, offsets: Iterable[int]) -> FirstRow:
 
 
 def toeplitz_entry(row: FirstRow, i: int, j: int) -> float:
-    """Entry ``(i, j)`` of the matrix described by ``row``, 1-based indices."""
+    """Entry ``(i, j)`` of the matrix described by ``row``, 1-based integer indices."""
+    if not all(isinstance(k, (int, np.integer)) and type(k) is not bool for k in (i, j)):
+        raise TypeError(f"indices ({i!r}, {j!r}) must be integers")
     n = row.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"indices ({i}, {j}) out of range for order {n}")

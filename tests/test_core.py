@@ -110,10 +110,10 @@ class TestFirstRow:
 W = core._WINDOW
 
 
-@pytest.fixture(params=["windowed", "default-cut"])
+@pytest.fixture(params=["counted", "default-cut"])
 def cut(request, monkeypatch):
-    """The copy as it runs: every row windowed, or only rows past the small-row cut."""
-    if request.param == "windowed":
+    """The copy as it runs: every row counted, or only rows past the small-row cut."""
+    if request.param == "counted":
         monkeypatch.setattr(core, "_WHOLE", 0)
     return request.param
 
@@ -122,65 +122,54 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _assert_copy(row, source):
+    """``row`` holds a bit-exact, read-only copy of ``source``, and a sparse copy its positions."""
+    assert np.array_equal(_bits(row.entries), _bits(source))
+    assert not np.shares_memory(row.entries, source) and not row.entries.flags.writeable
+    if row._at is not None:
+        assert row._at.tolist() == np.flatnonzero(_bits(source)).tolist()
+
+
 class TestWindowedCopy:
-    """``FirstRow`` copies a float64 array window by window, writing only live windows."""
+    """``FirstRow`` copies a float64 array bit for bit: a long sparse one entry by entry."""
 
     @pytest.mark.parametrize("n", [W - 1, W, W + 1, 3 * W + 5])
     def test_bit_exact(self, n, cut):
         rng = np.random.default_rng(n)
         x = np.zeros(n)
-        # nonzeros at both edges of windows, past the probe, and at random
+        # nonzeros at both edges of windows and at random
         edges = [i for w in range(1, 4) for i in (w * W - 1, w * W) if i < n]
-        at = np.concatenate((edges, rng.integers(0, n, size=5), [min(n - 1, core._PROBE)]))
+        at = np.concatenate((edges, rng.integers(0, n, size=5)))
         x[at.astype(np.int64)] = rng.standard_normal(at.size)
         if n > 2 * W:
             x[W:3 * W] = 0.0
             x[W + 7] = -0.0  # a window holding only -0.0
             x[2 * W + 9] = 5e-324  # and one holding only a subnormal
-        assert np.array_equal(_bits(FirstRow(x).entries), _bits(x))
-        assert np.array_equal(_bits(FirstRow(-x).entries), _bits(-x))
+        # -x is -0.0 where x is +0.0: every entry has a nonzero bit, so it is never sparse
+        for source in (x, -x):
+            row = FirstRow(source)
+            _assert_copy(row, source)
+            assert (row._at is not None) == (cut == "counted" and source is x)
         # a row with no nonzero bit at all is +0.0 throughout
         assert not _bits(FirstRow(np.zeros(n)).entries).any()
 
-    def test_runs_are_the_live_windows(self, cut):
+    def test_only_a_sparse_copy_keeps_positions(self, cut):
         n = 3 * W + 5
         x = np.zeros(n)
         x[[W + 7, 2 * W - 1]] = [-0.0, 2.0]
-        # past the cut a sparse row is the positions of its nonzero bits, and no run
+        # past the cut a sparse row keeps the positions of its nonzero bits
         row = FirstRow(x)
-        if cut == "windowed":
-            assert row._runs == [] and row._at.tolist() == [W + 7, 2 * W - 1]
+        _assert_copy(row, x)
+        if cut == "counted":
+            assert row._at.tolist() == [W + 7, 2 * W - 1]
         else:
-            assert row._runs == [(0, n)] and row._at is None
-        # a dense one is its live windows and the partial one at the end
+            assert row._at is None
+        # a dense one is whole, as are converted and adopted rows and the row
+        # row_from_offsets makes
         x[W + 100:W + 100 + n // core._SPARSE + 1] = 1.0
-        expected = [(W, 2 * W), (3 * W, n)] if cut == "windowed" else [(0, n)]
-        assert FirstRow(x)._runs == expected and FirstRow(x)._at is None
-        # converted and adopted rows are one run, as is the row row_from_offsets makes
-        for row in (FirstRow(x.astype(np.float32)), FirstRow(x.tolist()), FirstRow(x, _adopt=True),
-                    row_from_offsets(n, [2 * W - 1])):
-            assert row._runs == [(0, n)] and row._at is None
-
-    def test_runs_do_not_depend_on_where_the_count_stopped(self, monkeypatch):
-        # a dense row keeps the count's liveness for the windows it read and
-        # probes the rest: its runs are those of a count that stops at once
-        monkeypatch.setattr(core, "_WHOLE", 0)
-        rng = np.random.default_rng(27)
-        for window in (1, 2, 3, 4):
-            monkeypatch.setattr(core, "_WINDOW", window)
-            for n in (12, 49, 50):
-                x = np.zeros(n)
-                x[rng.choice(n, size=n // 5, replace=False)] = rng.choice([1.0, -0.0, 5e-324], n // 5)
-                x[n // 3:n // 3 + 9] = 0.0  # dead windows between live ones
-                x[-3:] = 1.0  # dense at the end: every count stops by then
-                monkeypatch.setattr(core, "_SPARSE", n + 1)
-                expected = FirstRow(x)._runs
-                for sparse in range(1, n + 1):
-                    monkeypatch.setattr(core, "_SPARSE", sparse)
-                    row = FirstRow(x)
-                    assert np.array_equal(_bits(row.entries), _bits(x))
-                    if row._at is None:
-                        assert row._runs == expected, (window, n, sparse)
+        for row in (FirstRow(x), FirstRow(x.astype(np.float32)), FirstRow(x.tolist()),
+                    FirstRow(x, _adopt=True), row_from_offsets(n, [2 * W - 1])):
+            assert row._at is None
 
     def test_sparse_rows_are_copied_entry_by_entry(self):
         # past the cut, on real pages: -0.0 and a subnormal alone in their
@@ -193,13 +182,20 @@ class TestWindowedCopy:
         every = np.zeros(n)
         every[W // 2::W] = np.arange(1, n // W + 1)
         every[-1] = -1.0
-        for source in (x, every, np.zeros(n)):
+        # at the bound: n // _SPARSE nonzero bits, -0.0 and subnormals among
+        # them, are scattered; one more makes the row dense, copied whole
+        rng = np.random.default_rng(28)
+        spread = np.sort(rng.choice(n, size=n // core._SPARSE + 1, replace=False))
+        bound, past = np.zeros(n), np.zeros(n)
+        bound[spread[:-1]] = past[spread[:-1]] = rng.choice([-0.0, 5e-324, 1.5, -2.0], spread.size - 1)
+        past[spread[-1]] = -0.0
+        for source in (x, every, np.zeros(n), bound, past):
             row = FirstRow(source)
-            assert row._runs == [] and row._at.tolist() == np.flatnonzero(_bits(source)).tolist()
-            assert np.array_equal(_bits(row.entries), _bits(source))
+            _assert_copy(row, source)
+            assert (row._at is None) == (source is past)
             assert np.array_equal(row.support(), np.flatnonzero(source))
-            assert not np.shares_memory(row.entries, source) and not row.entries.flags.writeable
         assert np.unique(FirstRow(every)._at // W).size == -(-n // W)
+        assert FirstRow(bound)._at.size == n // core._SPARSE
         for bad in (np.nan, np.inf, -np.inf):
             for i in (2 * W + 3, n - 1):
                 y = x.copy()
@@ -240,7 +236,7 @@ class TestWindowedCopy:
         assert np.array_equal(_bits(FirstRow(listed).entries), _bits(base[:W + 3]))
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
-    def test_sparse_row_copy_holds_only_its_live_windows(self):
+    def test_sparse_row_copy_backs_only_its_written_pages(self):
         # the anonymous resident set (resident less file-backed pages, which
         # the first call's code brings in) over the copy of a row with two
         # nonzeros; tracemalloc cannot see what stays unbacked
@@ -289,13 +285,14 @@ print(grown)
 
 
 class TestSupport:
-    """``FirstRow.support(lo, hi)`` reads only inside the row's runs and finds every nonzero."""
+    """``FirstRow.support(lo, hi)`` finds every nonzero, reading a sparse copy only where written."""
 
     @staticmethod
     def rows():
         """Rows of order 1 to 50 with -0.0, a subnormal and a partial last window."""
         yield np.zeros(1)
         yield np.array([-0.0, 5e-324])
+        yield np.array([1.0, 0.0, 2.0, 0.0, 3.0])
         rng = np.random.default_rng(26)
         for n in (7, 12, 49, 50):
             x = np.zeros(n)
@@ -308,29 +305,40 @@ class TestSupport:
     @staticmethod
     def assert_support(row, rng):
         n = row.n
-        # the last span lies in the zeroed stretch; at n = 49, in dead windows at every _WINDOW
-        spans = [(0, n), (0, 0), (n, n), (1, n), (n // 2 + 1, n // 2 + 4)]
+        # the fifth span lies in the zeroed stretch; at n = 49, in dead windows at every
+        # _WINDOW; the rest reach outside [0, n) or end before they begin
+        spans = [(0, n), (0, 0), (n, n), (1, n), (n // 2 + 1, n // 2 + 4), (-3, n), (2, n + 5),
+                 (-3, n + 5), (n // 2, 1), (0, -1), (-5, -2), (n + 2, n + 9)]
         spans += [tuple(sorted(rng.integers(0, n + 1, size=2).tolist())) for _ in range(30)]
+        spans += [tuple(rng.integers(-5, n + 6, size=2).tolist()) for _ in range(10)]
+        index = np.arange(n)
         for lo, hi in spans:
-            expected = np.flatnonzero(row.entries[lo:hi] != 0.0) + lo
-            assert np.array_equal(row.support(lo, hi), expected), (n, lo, hi, row._runs)
+            expected = np.flatnonzero((row.entries != 0.0) & (lo <= index) & (index < hi))
+            assert np.array_equal(row.support(lo, hi), expected), (n, lo, hi, row._at)
         assert np.array_equal(row.support(), np.flatnonzero(row.entries))
         assert np.array_equal(row.support(3), np.flatnonzero(row.entries[3:]) + 3)
 
     def test_windowed_copies(self, monkeypatch):
+        # every row counted in windows of 1 to 4 positions, under every sparse
+        # bound: the count stops anywhere, and the copy is sparse exactly when
+        # its nonzero bits (-0.0 counts) are at most one per _SPARSE entries
         rng = np.random.default_rng(0)
         monkeypatch.setattr(core, "_WHOLE", 0)
-        split = 0
+        sparse_copies = dense_copies = 0
         for window in (1, 2, 3, 4):
             monkeypatch.setattr(core, "_WINDOW", window)
             for x in self.rows():
-                row = FirstRow(x)
-                split += len(row._runs) > 1
-                if x.size == 49:
-                    assert all(b <= 25 or a >= 28 for a, b in row._runs), window
-                self.assert_support(row, rng)
-                self.assert_support(FirstRow(-x), rng)
-        assert split > 10  # most copies are several runs
+                for sparse in range(1, x.size + 2):
+                    monkeypatch.setattr(core, "_SPARSE", sparse)
+                    row = FirstRow(x)
+                    _assert_copy(row, x)
+                    is_sparse = np.count_nonzero(_bits(x)) <= x.size // sparse
+                    assert (row._at is not None) == is_sparse, (window, x.size, sparse)
+                    sparse_copies += is_sparse
+                    dense_copies += not is_sparse
+                    if sparse % 5 == 1:
+                        self.assert_support(row, rng)
+        assert sparse_copies > 100 and dense_copies > 100
 
     def test_sparse_copies(self, monkeypatch):
         # every row copied entry by entry: support reads only the written positions
@@ -340,7 +348,8 @@ class TestSupport:
         for x in self.rows():
             for source in (x, -x):  # -x is -0.0 where x is +0.0: every position written
                 row = FirstRow(source)
-                assert row._runs == [] and row._at.tolist() == np.flatnonzero(_bits(source)).tolist()
+                _assert_copy(row, source)
+                assert row._at is not None
                 self.assert_support(row, rng)
 
     def test_adopted_and_converted_rows(self):
@@ -501,6 +510,14 @@ class TestToeplitzEntry:
     def test_out_of_range(self, i, j):
         with pytest.raises(IndexError):
             toeplitz_entry(FirstRow([0] * 7), i, j)
+
+    @pytest.mark.parametrize("i,j", [(True, 1), (1, False), (np.True_, 1), (2.0, 1), (1, 1.5),
+                                     (np.float64(3), 2)])
+    def test_refuses_non_integer_indices(self, i, j):
+        with pytest.raises(TypeError, match="indices"):
+            toeplitz_entry(FirstRow([0, 1, 2]), i, j)
+        # numpy integers are integers
+        assert toeplitz_entry(FirstRow([0, 1, 2]), np.int64(1), np.int32(3)) == 2.0
 
 
 @given(st.integers(min_value=1, max_value=64), st.data())

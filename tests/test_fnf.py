@@ -387,9 +387,9 @@ class TestWindowedRowCopies:
         rows = [row_from_offsets(n, offsets) for n, offsets in sweep_instances()]
         expected = [compute_fnf(row) for row in rows]
         monkeypatch.setattr(core, "_WHOLE", 0)
-        monkeypatch.setattr(core, "_WINDOW", 3)
         monkeypatch.setattr(core, "_SPARSE", sparse)
-        for row, default, (n, offsets) in zip(rows, expected, sweep_instances()):
+        for i, (row, default, (n, offsets)) in enumerate(zip(rows, expected, sweep_instances())):
+            monkeypatch.setattr(core, "_WINDOW", 1 + i % 4)  # the count's windows
             copied = FirstRow(row.entries)
             # an all-zero row is sparse at every bound
             assert (copied._at is not None) == (sparse == 1 or len(offsets) == 0)
@@ -400,10 +400,11 @@ class TestWindowedRowCopies:
             assert np.array_equal(res.block_bounds, default.block_bounds)
 
     def test_sweep_through_windowed_copies(self, monkeypatch):
-        # every row windowed, in windows of 3 positions: runs begin and end
-        # next to most offsets, and reduce scans only inside them
+        # every row counted, its count stopped at its first nonzero window,
+        # and copied whole
         self.assert_sweep(monkeypatch, sparse=1 << 62)
 
     def test_sweep_through_sparse_copies(self, monkeypatch):
-        # every row copied entry by entry: reduce reads only the positions written
+        # every row counted in windows of 1 to 4 positions and copied entry by
+        # entry: reduce reads only the positions written
         self.assert_sweep(monkeypatch, sparse=1)

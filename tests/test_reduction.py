@@ -382,19 +382,19 @@ class TestReduceFromRow:
 
 
 class TestLiveWindowReader:
-    """A row copied in windows is scanned only inside the runs of live windows it wrote.
+    """A row reduces alike however ``FirstRow`` copied it; a sparse copy is scanned
+    only at the positions it wrote.
 
-    Every row is copied again with ``core._WHOLE`` at 0 and ``core._WINDOW``
-    at 1 to 4, so the runs begin and end next to most offsets, and once entry
-    by entry (``core._SPARSE`` at 1), and then reduced with the scan's first
-    window at 1, 2, 3 and ``WINDOW``.
+    Every row is copied again with ``core._WHOLE`` at 0: entry by entry
+    (``core._SPARSE`` at 1), its count in windows (``core._WINDOW``) of 1 to 4
+    positions and of ``W``, and once whole (``core._SPARSE`` past ``n``), and
+    then reduced with the scan's first window at 1, 2, 3 and ``WINDOW``.
     """
 
     @staticmethod
     def assert_matches_offsets(row: FirstRow) -> None:
         expected = reduce(offsets_from_row(row))
-        for core_window, sparse in ((1, row.n + 1), (2, row.n + 1), (3, row.n + 1),
-                                    (4, row.n + 1), (W, 1)):
+        for core_window, sparse in ((1, 1), (2, 1), (3, 1), (4, 1), (W, 1), (W, row.n + 1)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(core, "_WHOLE", 0)
                 mp.setattr(core, "_WINDOW", core_window)
@@ -416,7 +416,7 @@ class TestLiveWindowReader:
             self.assert_matches_offsets(_row(n, offsets, a0))
 
     @pytest.mark.parametrize("n, entries", [
-        (49, {12: 1.0, 23: 2.0, 24: -1.0, 35: 3.0}),    # nonzeros at run edges for every window
+        (49, {12: 1.0, 23: 2.0, 24: -1.0, 35: 3.0}),    # nonzeros at window edges
         (50, {6: 2.0, 25: -0.0, 40: 4.0}),              # a live window holding only -0.0
         (50, {10: 5e-324, 30: 2.0}),                    # a subnormal alone in its window
         (49, {8: 1.0, 48: 1.0}),                        # the partial last window

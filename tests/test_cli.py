@@ -320,6 +320,11 @@ def _reference_values(values):
     return ",".join(str(_reference_number(x)) for x in values)
 
 
+def _reference_row(result, block):
+    """A block's row read off the input row at its vertices, whatever view the block holds."""
+    return result.row.entries[block.vertices - block.vertices[0]].tolist()
+
+
 def _reference_json(result, include_trace):
     doc = {
         "n": result.n,
@@ -328,7 +333,7 @@ def _reference_json(result, include_trace):
         "blocks": [
             {
                 "size": b.size,
-                "first_row": [_reference_number(x) for x in b.first_row],
+                "first_row": [_reference_number(x) for x in _reference_row(result, b)],
                 "vertices": b.vertices.tolist(),
             }
             for b in result.blocks
@@ -348,7 +353,7 @@ def _reference_text(result, include_trace):
     lines = [f"n {result.n}", f"components {result.component_count}"]
     for k, b in enumerate(result.blocks, start=1):
         lines.append(f"block {k} size={b.size} vertices={_reference_values(b.vertices)} "
-                     f"first_row={_reference_values(b.first_row)}")
+                     f"first_row={_reference_values(_reference_row(result, b))}")
     lines.append(f"permutation {_reference_values(result.permutation)}")
     lines.append(f"cis {_reference_values(result.cis.rho)}")
     if include_trace:
@@ -402,6 +407,14 @@ def _long_tokens_row(n, seed):
     return (rng.integers(1, 10**6, size=n) * 1e294).tolist()
 
 
+def _offsets_row(n, *offsets):
+    """A diagonal entry and one value at each offset; one offset ``s`` gives residue
+    classes mod ``s``, or pairs and singletons for ``2s > n``."""
+    entries = np.zeros(n)
+    entries[[0, *offsets]] = [2.5, *(-0.125 * (1 + np.arange(len(offsets))))]
+    return entries.tolist()
+
+
 def _two_class_row(n):
     """Offsets {2, 6, 1000}: the odd and the even vertices are the two blocks."""
     entries = np.zeros(n)
@@ -426,6 +439,13 @@ WRITER_ROWS = {
     # two blocks of exactly PASS entries, each a pass, and of PASS + 1, each streamed
     "two-class-2-passes": _two_class_row(2 * cli.PASS),
     "two-class-2-passes+2": _two_class_row(2 * cli.PASS + 2),
+    # runs of alike blocks: 50 residue classes of 200, more than a pass holds;
+    # pairs then a singleton tail longer than a pass; pairs and singletons in one pass
+    "residue-classes-50": _offsets_row(10_000, 50),
+    "singleton-tail-past-a-pass": _offsets_row(cli.PASS + 808, cli.PASS + 508),
+    "two-runs-in-a-pass": _offsets_row(100, 70),
+    # 850 gathered blocks of 6 and 4 vertices, then 130 singletons
+    "gathered-then-singletons": _offsets_row(3790, 1960, 2810),
 }
 
 #: The most text one write may hold, whatever the order: a pass holds at most
@@ -495,6 +515,19 @@ class TestWriterBytes:
                            ("two-class-2-passes+2", cli.PASS + 1)):
             result = compute_fnf(FirstRow(WRITER_ROWS[name]))
             assert np.diff(result.block_bounds).tolist() == [size, size]
+
+    def test_rows_of_runs(self):
+        pass_ = cli.PASS
+        for name, runs in (("residue-classes-50", [(0, 50, 200, 50)]),
+                           ("singleton-tail-past-a-pass", [(0, 300, 2, pass_ + 508),
+                                                           (300, pass_ + 208, 1, 1)]),
+                           ("two-runs-in-a-pass", [(0, 30, 2, 70), (30, 40, 1, 1)])):
+            table = compute_fnf(FirstRow(WRITER_ROWS[name]))._runs
+            assert list(zip(*(c.tolist() for c in table[:4]))) == runs, name
+        table = compute_fnf(FirstRow(WRITER_ROWS["gathered-then-singletons"]))._runs
+        assert table.step.tolist() == [0] * 850 + [1] and table.count[-1] == 130
+        # the 50 classes take several passes of several blocks; the two runs fit one pass
+        assert 2 * 200 <= pass_ < 50 * 200 and 100 <= pass_
 
     def test_rows_cut_into_several_blocks(self):
         assert compute_fnf(FirstRow(WRITER_ROWS["special-values"])).component_count == 2

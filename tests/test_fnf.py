@@ -117,6 +117,112 @@ class TestExtractBlocks:
         assert peak < 2 * fnf._GAPS * result.permutation.itemsize, peak
 
 
+def _reference_runs(result):
+    """The run table's columns, block by block from ``np.diff(vertices)``."""
+    perm, bounds = result.permutation, result.block_bounds
+    first, size, step = [], [], []
+    for k in range(bounds.size - 1):
+        vertices = perm[bounds[k]:bounds[k + 1]]
+        gaps = np.diff(vertices)
+        d = int(gaps[0]) if gaps.size and (gaps == gaps[0]).all() else int(gaps.size == 0)
+        if not first or d == 0 or (vertices.size, d) != (size[-1], step[-1]):
+            first.append(k)
+            size.append(vertices.size)
+            step.append(d)
+    return first, np.diff(first + [bounds.size - 1]).tolist(), size, step
+
+
+def _every_offset_set(top):
+    for n in range(1, top + 1):
+        for mask in range(2 ** (n - 1)):
+            yield n, [s for s in range(1, n) if mask >> (s - 1) & 1]
+
+
+class TestBlockRuns:
+    """Runs of consecutive blocks alike in size and progression step."""
+
+    def test_runs_match_a_per_block_reference(self, monkeypatch):
+        # _GAPS positions per chunk of blocks, from 1 (a chunk per block, the
+        # gaps read one at a time) up, so chunk edges fall everywhere
+        gathered = shared = 0
+        for i, (n, offsets) in enumerate([*_every_offset_set(12), *sweep_instances()]):
+            monkeypatch.setattr(fnf, "_GAPS", (1, 2, 3, 5, 8, 1 << 16)[i % 6])
+            res = compute_fnf(row_from_offsets(n, offsets))
+            runs = res._runs
+            want = _reference_runs(res)
+            assert [c.tolist() for c in runs[:4]] == list(want), (n, offsets)
+            for m, d, row in zip(runs.size.tolist(), runs.step.tolist(), runs.rows):
+                assert (row is None) == (d == 0)
+                if d:
+                    assert np.shares_memory(row, res.row.entries) and not row.flags.writeable
+                    assert row.tolist() == res.row.entries[:(m - 1) * d + 1:d].tolist()
+            gathered += want[3].count(0)
+            shared += sum(c > 1 for c in want[1])
+        assert gathered > 1000 and shared > 1000  # both kinds of run are covered
+
+    @pytest.mark.parametrize("n, offsets", [
+        (31, [12, 18, 24, 29]),    # a gathered block, then a run of 3 residue classes
+        (7, []),                   # one run of singletons
+        (10_000, [50]),            # one run of 50 residue classes
+        (100, [70]),               # 30 pairs of step 70, then 40 singletons
+    ])
+    def test_blocks_of_a_run_share_one_read_only_row(self, n, offsets):
+        res = compute_fnf(row_from_offsets(n, offsets))
+        blocks, runs = res.blocks, res._runs
+        assert len(runs.first) <= 2
+        for first, count, step in zip(runs.first.tolist(), runs.count.tolist(),
+                                      runs.step.tolist()):
+            row = blocks[first].first_row
+            assert not row.flags.writeable
+            assert np.shares_memory(row, res.row.entries) == (step > 0)
+            for k in range(first, first + count):
+                assert (blocks[k].first_row is row) == (step > 0)
+                assert blocks[k].first_row.tolist() == row.tolist()
+
+    def test_a_gathered_block_never_shares_its_row(self):
+        # {1, 3, 4, 7} spans 3 * 2 but is no progression, and {2, 5, 6} is none either
+        row = FirstRow(np.arange(1.0, 8.0))
+        res = FnfResult(row=row, cis=ComponentIndexSequence(7, 2, [1, 2, 1, 1, 2, 2, 1]),
+                        permutation=np.array([1, 3, 4, 7, 2, 5, 6]),
+                        block_bounds=np.array([0, 4, 7]), trace=compute_fnf(row).trace)
+        assert res._runs.step.tolist() == [0, 0] and res._runs.count.tolist() == [1, 1]
+        for b in (*res.blocks, *res.blocks):
+            assert not np.shares_memory(b.first_row, row.entries)
+        assert res.blocks[0].first_row is not res.blocks[0].first_row
+
+    def test_the_table_is_built_once_on_first_read(self):
+        res = compute_fnf(FirstRow(np.zeros(50)))
+        assert "_runs" not in vars(res)  # compute_fnf builds no table
+        res.blocks[3]
+        runs = res._runs
+        assert res._runs is runs and res.blocks[7].first_row is runs.rows[0]
+
+    def test_holding_every_row_costs_a_pointer_per_block(self):
+        # the all-zero row's blocks hold one view: the list of them costs its slots
+        res = compute_fnf(FirstRow(np.zeros(1 << 16)))
+        tracemalloc.start()
+        try:
+            rows = [b.first_row for b in res.blocks]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == res.component_count == 1 << 16
+        assert held < 16 * len(rows), held
+
+    @pytest.mark.parametrize("offsets", [[], [2], [3 << 20, (3 << 20) + 5, (1 << 22) - 7]])
+    def test_building_the_table_makes_no_order_sized_temporary(self, offsets):
+        # c = n singletons; two residue classes, whose gaps are read; a gathered
+        # block of about n / 2 and about n / 2 singletons
+        res = compute_fnf(row_from_offsets(1 << 22, offsets))
+        tracemalloc.start()
+        try:
+            res._runs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < res.permutation.nbytes / 4, peak
+
+
 class TestPermutationFromCis:
     """The permutation lays the component vertex lists end to end."""
 
@@ -269,6 +375,10 @@ class TestComputeFnf:
     def test_block_and_result_check_their_sizes(self):
         with pytest.raises(ValueError, match="block size"):
             FnfBlock(size=2, first_row=[0.0], vertices=[1, 2])
+        for size in (True, np.bool_(True), 1.0, np.float64(1.0), "1", None):
+            with pytest.raises(ValueError, match="integer"):
+                FnfBlock(size, [1.0], [1])
+        assert FnfBlock(np.int64(1), [1.0], [1]).size == 1
         res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
         fields = dict(row=res.row, cis=res.cis, permutation=res.permutation,
                       block_bounds=res.block_bounds, trace=res.trace)
@@ -278,6 +388,24 @@ class TestComputeFnf:
         bounds[-1] -= 1
         with pytest.raises(ValueError, match="cut 0..n"):
             FnfResult(**{**fields, "block_bounds": bounds})
+        # bounds that do not increase, or are no integer array, cut no blocks
+        repeated = res.block_bounds.copy()
+        repeated[1] = repeated[2]
+        falling = res.block_bounds[[0, 2, 1, 3, 4]]
+        for bad in (repeated, falling, falling.astype(np.uint64), res.block_bounds.tolist(),
+                    res.block_bounds.astype(float), res.block_bounds[None, :]):
+            with pytest.raises(ValueError, match="cut 0..n"):
+                FnfResult(**{**fields, "block_bounds": bad})
+
+    def test_compute_fnf_skips_the_results_checks(self, monkeypatch):
+        # the replay's arrays cut 0..n by construction, so compute_fnf pays no O(c) check
+        def refuse(self):
+            raise AssertionError("FnfResult checks run")
+
+        monkeypatch.setattr(FnfResult, "__post_init__", refuse)
+        res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
+        assert np.diff(res.block_bounds).tolist() == [16, 5, 5, 5]
+        assert not res.permutation.flags.writeable and not res.block_bounds.flags.writeable
 
     def test_result_freezes_a_view_of_the_callers_arrays(self):
         res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
@@ -332,7 +460,7 @@ def _assert_canonical_labels(n, offsets):
     res = compute_fnf(row_from_offsets(n, offsets))
     parts = reference.partition_from_labels(reference.union_find_labels(n, offsets))
     canonical = sorted((sorted(p) for p in parts), key=lambda p: (-len(p), p[0]))
-    blocks = res.blocks
+    blocks = tuple(res.blocks)
     assert [b.vertices.tolist() for b in blocks] == canonical
     # each block row reads the row at v - v[0], as a view of it exactly
     # when the vertices are an arithmetic progression
@@ -340,6 +468,11 @@ def _assert_canonical_labels(n, offsets):
         v, gaps = b.vertices, np.diff(b.vertices)
         assert np.array_equal(b.first_row, res.row.entries[v - v[0]])
         assert np.shares_memory(b.first_row, res.row.entries) == bool(np.all(gaps == gaps[:1]))
+    # the blocks of a run of progressions hold one row
+    runs = res._runs
+    for first, count in zip(runs.first[runs.step > 0].tolist(), runs.count[runs.step > 0].tolist()):
+        assert all(blocks[k].first_row is blocks[first].first_row
+                   for k in range(first, first + count))
     sizes = np.diff(res.block_bounds)
     rho = res.cis.rho
     assert rho[res.permutation - 1].tolist() == np.repeat(np.arange(1, sizes.size + 1),

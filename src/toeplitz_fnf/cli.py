@@ -326,79 +326,49 @@ def _numbers(values: np.ndarray, write, sep: str, step: int = PASS):
 def _body(result: FnfResult, sep: str, joiner: str, batch):
     """The blocks' text, ``joiner`` between blocks; returns the permutation's text in pieces.
 
-    ``batch(indices, sizes, verts, rows)`` formats blocks from their 1-based
-    indices, sizes and texts.  The blocks go in passes of whole blocks, at most
-    ``PASS`` entries, of one run (``FnfResult._runs``) or of gathered blocks
-    only.  A pass formats its vertices once (see :func:`_decimal`), a 0 byte
-    for the first separator byte after each block's last entry; a run's row is
-    formatted once (see :func:`_row_tokens` and :func:`_run_text`), gathered
-    blocks' rows in one text marked alike.  A longer block goes alone, its
-    texts streamed where ``batch`` put the markers ``\\1`` and ``\\2``.  The
-    vertex texts are the permutation's.
+    The blocks go in passes of whole blocks holding at most ``PASS`` entries.
+    A pass formats its vertices and its rows once each (see :func:`_decimal`
+    and :func:`_row_tokens`), with a 0 byte for the first separator byte
+    after each block's last entry, and decodes and splits each text once.
+    ``batch(k, sizes, verts, rows)`` formats a pass whose first block is the
+    ``k``-th (0-based), from its blocks' sizes and texts.  A longer block
+    goes alone, its texts streamed where ``batch`` put the markers ``\\1``
+    and ``\\2``.  The vertex texts are kept: they are the permutation's.
     """
-    perm, bounds, runs = result.permutation, result.block_bounds, result._runs
+    perm, bounds = result.permutation, result.block_bounds
     token, write_row = _row_tokens(result.row, sep)
     write_vertices = partial(_decimal, sep=sep)
     last_sep = "\0" + sep[1:]
-    alike = runs.step > 0
-    cuts = np.append(runs.first[alike | np.append(True, alike[:-1])], bounds.size - 1)
-    permutation, start, row_of = [], 0, -1
+    permutation, start = [], 0
     while start < bounds.size - 1:
         if start:
             yield joiner
         lo = int(bounds[start])
         # a key of the bounds' dtype, or searchsorted casts them all; bounds[-1] is n
         key = bounds.dtype.type(min(lo + PASS, result.n))
-        stop = min(max(start + 1, int(bounds.searchsorted(key, "right")) - 1),
-                   int(cuts[cuts.searchsorted(start, "right")]))
+        stop = max(start + 1, int(bounds.searchsorted(key, "right")) - 1)
         verts = perm[lo:bounds[stop]]
         if verts.size <= PASS:
-            r = int(runs.first.searchsorted(start, "right")) - 1
             sizes = np.diff(bounds[start:stop + 1])
             # a block's row is read at each vertex's distance from the block's first vertex
-            rows = [] if alike[r] else [token[verts - np.repeat(perm[bounds[start:stop]], sizes)]]
+            rows = token[verts - np.repeat(perm[bounds[start:stop]], sizes)]
             last, texts = np.cumsum(sizes) - 1, []
-            for data, count in (write_vertices(verts), *map(write_row, rows)):
-                ends = np.cumsum(count)[last]
-                data[ends - len(sep)] = 0
+            for data, count in (write_vertices(verts), write_row(rows)):
+                data[np.cumsum(count)[last] - len(sep)] = 0
                 texts.append(str(data, "ascii"))
             permutation.append(texts[0])
-            if alike[r]:  # no rows: ends are the vertices'
-                if r != row_of:  # the run's blocks share its first one's row
-                    row_of, row = r, next(_numbers(token[verts[:sizes[0]] - verts[0]], write_row, sep))
-                yield _run_text(batch, start, int(sizes[0]), row, texts[0], ends, sep, joiner)
-            else:
-                yield joiner.join(batch(range(start + 1, stop + 1), memoryview(sizes),
-                                        *(t.split(last_sep) for t in texts)))
+            yield joiner.join(batch(start, memoryview(sizes), *(t.split(last_sep) for t in texts)))
         else:
             texts = list(_numbers(verts, write_vertices, sep))
             permutation += texts + [sep]
             streams = {"\1": texts, "\2": _numbers(
                 verts, lambda chunk: write_row(token[chunk - verts[0]]), sep)}
-            one, = batch([start + 1], [verts.size], ["\1"], ["\2"])
+            one, = batch(start, [verts.size], ["\1"], ["\2"])
             for piece in re.split("([\1\2])", one):
                 yield from streams.get(piece, (piece,))
         start = stop
     permutation[-1] = permutation[-1][:-len(sep)]
     return (piece.replace("\0", sep[0]) for piece in permutation)
-
-
-def _run_text(batch, k: int, size: int, row: str, text: str, ends, sep: str, joiner: str):
-    """A pass of one run's blocks, the ``k``-th (0-based) first, from their vertex text.
-
-    A 0 byte marks the separator after each block's last vertex, which ends at
-    ``ends``; each mark becomes a block's tail and the next one's head.  A head
-    that shows the block's index gets the indices' text, marked alike, put
-    before each block's vertices.
-    """
-    head, tail = batch(["\1"], [size], ["\0"], [row])[0].split("\0")
-    if "\1" in head:
-        head, middle = head.split("\1")
-        ids, count = _decimal(np.arange(k + 1, k + 1 + ends.size), "\1" + sep[1:])
-        data = np.insert(np.frombuffer(text.encode("ascii"), dtype=np.uint8),
-                         np.repeat(np.append(0, ends[:-1]), count), ids)
-        text = str(data, "ascii").replace("\1" + sep[1:], middle)
-    return head + text[:-len(sep)].replace("\0" + sep[1:], tail + joiner + head) + tail
 
 
 def _emit(pieces, out):
@@ -410,7 +380,7 @@ def _emit(pieces, out):
     return None
 
 
-def _json_batch(indices, sizes, verts, rows):
+def _json_batch(k, sizes, verts, rows):
     return [f'{{"size": {size}, "first_row": [{row}], "vertices": [{vertices}]}}'
             for size, vertices, row in zip(sizes, verts, rows)]
 
@@ -447,9 +417,9 @@ def document_to_json(doc: dict) -> str:
     return json.dumps(doc, separators=(", ", ": ")) + "\n"
 
 
-def _text_batch(indices, sizes, verts, rows):
+def _text_batch(k, sizes, verts, rows):
     return [f"block {i} size={size} vertices={vertices} first_row={row}"
-            for i, size, vertices, row in zip(indices, sizes, verts, rows)]
+            for i, (size, vertices, row) in enumerate(zip(sizes, verts, rows), start=k + 1)]
 
 
 def _text_pieces(result: FnfResult, include_trace: bool):

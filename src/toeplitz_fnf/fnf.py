@@ -7,9 +7,8 @@ the block bounds, the trace replay's permutation, which lists the vertices
 component by component, is the decomposition; blocks are built when read.
 When ``n`` is at least the sum of the two largest offsets, Fine and Wilf's
 periodicity lemma makes every component a residue class modulo the offsets'
-gcd, so a block row is most often a strided view of the input row, and
-blocks alike in size and step, which come in runs in the canonical order,
-share that view.
+gcd, so a block row is most often a strided view of the input row, one
+view shared by all the blocks alike in size and step.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +30,7 @@ __all__ = [
     "compute_fnf",
 ]
 
-#: Vertex positions the run table reads at a time.
+#: Gaps of a block's vertex list checked at a time when the block is read.
 _GAPS = 1 << 16
 
 
@@ -86,13 +84,14 @@ class FnfResult:
     trace: ReductionTrace
 
     def __post_init__(self) -> None:
-        # compute_fnf builds its own result, whose replay makes these hold
         if self.permutation.size != self.row.n:
             raise ValueError("permutation must have length n")
         bounds = self.block_bounds
         if (not isinstance(bounds, np.ndarray) or bounds.dtype.kind not in "iu"
-                or bounds.shape != (self.cis.c + 1,) or bounds[0] != 0
-                or bounds[-1] != self.row.n or (bounds[1:] <= bounds[:-1]).any()):
+                or bounds.dtype != self.permutation.dtype):
+            raise ValueError("block bounds must be integers of the permutation's dtype")
+        if (bounds.shape != (self.cis.c + 1,) or bounds[0] != 0 or bounds[-1] != self.row.n
+                or (bounds[1:] <= bounds[:-1]).any()):
             raise ValueError("block bounds must cut 0..n into one block per component")
         object.__setattr__(self, "permutation", _read_only(self.permutation))
         object.__setattr__(self, "block_bounds", _read_only(bounds))
@@ -111,75 +110,9 @@ class FnfResult:
         return BlockViews(self)
 
     @cached_property
-    def _runs(self) -> _Runs:
-        """The blocks' runs, found when first read (see :func:`_block_runs`)."""
-        return _block_runs(self.row.entries, self.permutation, self.block_bounds)
-
-
-class _Runs(NamedTuple):
-    """Runs of alike blocks, a column each, and a run's shared row.
-
-    Run ``r`` is blocks ``first[r]`` to ``first[r] + count[r] - 1``, each of
-    ``size[r]`` vertices in arithmetic progression of ``step[r]``, whose rows
-    are all ``rows[r]``; ``step[r]`` is 0 and ``rows[r]`` None for a gathered
-    block, which is a run of its own.
-    """
-
-    first: np.ndarray
-    count: np.ndarray
-    size: np.ndarray
-    step: np.ndarray
-    rows: list
-
-
-def _block_runs(entries: np.ndarray, perm: np.ndarray, bounds: np.ndarray) -> _Runs:
-    """The maximal runs of consecutive blocks alike in size and progression step.
-
-    A block of ``m`` increasing vertices spanning ``(m - 1) * step`` is an
-    arithmetic progression when every gap is ``step``, which holds without
-    reading the gaps for ``step = 1``; its row is then the view
-    ``entries[:span + 1:step]``.  The blocks go in chunks of those starting
-    within ``_GAPS`` positions of the chunk's first, so every block but the
-    last ends there and their gaps are read at once; the last one's are read
-    ``_GAPS`` at a time.  Every temporary is chunk-sized.
-    """
-    c = bounds.size - 1
-    firsts, sizes, steps, last = [], [], [], (0, -1)
-    k = 0
-    while k < c:
-        lo = int(bounds[k])
-        # a key of the bounds' dtype, or searchsorted casts them all; bounds[-1] is n
-        stop = int(bounds.searchsorted(bounds.dtype.type(min(lo + _GAPS, bounds[-1]))))
-        b = bounds[k:stop + 1]
-        size = np.diff(b)
-        span = perm[b[1:] - 1] - perm[b[:-1]]
-        step = np.where(size > 1, span // np.maximum(size - 1, 1), 1)
-        ap = span == (size - 1) * step
-        check = ap & (step > 1) & (size > 2)
-        if check[:-1].any():
-            heads = b[:-1] - lo
-            want = np.repeat(np.where(check, step, 0)[:-1], size[:-1])
-            want[heads[:-1]] = 0  # the gap into a block is none of its own
-            bad = np.flatnonzero((np.diff(perm[lo:b[-2]]) != want[1:]) & (want[1:] > 0)) + 1
-            ap[heads.searchsorted(bad, "right") - 1] = False
-        if check[-1]:
-            tail = perm[b[-2]:b[-1]]
-            ap[-1] = all((np.diff(tail[at:at + _GAPS + 1]) == step[-1]).all()
-                         for at in range(0, tail.size - 1, _GAPS))
-        step[~ap] = 0
-        # a run starts at a change of size or step, and at every gathered block
-        new = (size != np.append(last[0], size[:-1])) | (step != np.append(last[1], step[:-1]))
-        new |= step == 0
-        at = np.flatnonzero(new)
-        firsts.append(at + k)
-        sizes.append(size[at])
-        steps.append(step[at])
-        last, k = (size[-1], step[-1]), stop
-    first = np.concatenate(firsts)
-    size, step = np.concatenate(sizes), np.concatenate(steps)
-    rows = [entries[:(m - 1) * d + 1:d] if d else None  # read-only views of the row
-            for m, d in zip(size.tolist(), step.tolist())]
-    return _Runs(first, np.diff(first, append=c), size, step, rows)
+    def _rows(self) -> dict:
+        """Read-only views of the row by ``(span, step)``, made when a block first reads one."""
+        return {}
 
 
 class BlockViews(Sequence):
@@ -187,9 +120,10 @@ class BlockViews(Sequence):
 
     Each access builds one :class:`FnfBlock` whose ``vertices`` is a slice
     of the permutation and whose ``first_row`` reads the input row at
-    ``vertices - vertices[0]``: the view its run shares, a slice of the row
-    for consecutive vertices and a strided view for a residue class, and a
-    gather otherwise.
+    ``vertices - vertices[0]``: a slice of it for consecutive vertices, a
+    strided view for a residue class, and a gather otherwise.  A slice or
+    strided view is made once per span and step and shared by every block
+    that reads it.
     """
 
     __slots__ = ("_result",)
@@ -209,13 +143,23 @@ class BlockViews(Sequence):
         return map(self._block, range(len(self)))
 
     def _block(self, k: int) -> FnfBlock:
-        result = self._result
-        lo, hi = result.block_bounds[k:k + 2].tolist()
-        vertices = result.permutation[lo:hi]
-        runs = result._runs
-        first_row = runs.rows[int(runs.first.searchsorted(k, "right")) - 1]
-        if first_row is None:
-            first_row = result.row.entries[vertices - vertices[0]]
+        lo, hi = self._result.block_bounds[k:k + 2].tolist()
+        vertices = self._result.permutation[lo:hi]
+        entries = self._result.row.entries
+        # vertices increase, so a span of (size - 1) * step is an arithmetic
+        # progression when every gap is step; the gaps are read only for step > 1,
+        # _GAPS at a time, so that no block-sized temporary is made
+        span = int(vertices[-1] - vertices[0])
+        step = span // (hi - lo - 1) if hi - lo > 1 else 1
+        if span == (hi - lo - 1) * step and (step == 1 or all(
+                (np.diff(vertices[at:at + _GAPS + 1]) == step).all()
+                for at in range(0, hi - lo - 1, _GAPS))):
+            rows = self._result._rows
+            first_row = rows.get((span, step))
+            if first_row is None:  # a read-only view of the row, shared by alike blocks
+                first_row = rows[span, step] = entries[:span + 1:step]
+        else:
+            first_row = entries[vertices - vertices[0]]
             first_row.setflags(write=False)
         # both arrays have the block size by construction: the constructor's checks are skipped
         block = FnfBlock.__new__(FnfBlock)
@@ -233,10 +177,5 @@ def compute_fnf(row: FirstRow) -> FnfResult:
     trace, _ = reduce(row)
     cis = recover_cis(trace)
     permutation, bounds = recover_blocks(trace)
-    # the replay's arrays cut 0..n as the constructor checks: its O(c) checks are skipped
-    permutation.setflags(write=False)
-    bounds.setflags(write=False)
-    result = FnfResult.__new__(FnfResult)
-    result.__dict__.update(row=row, cis=cis, permutation=permutation, block_bounds=bounds,
-                           trace=trace)
-    return result
+    return FnfResult(row=row, cis=cis, permutation=permutation, block_bounds=bounds,
+                     trace=trace)

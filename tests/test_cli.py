@@ -439,7 +439,7 @@ WRITER_ROWS = {
     # two blocks of exactly PASS entries, each a pass, and of PASS + 1, each streamed
     "two-class-2-passes": _two_class_row(2 * cli.PASS),
     "two-class-2-passes+2": _two_class_row(2 * cli.PASS + 2),
-    # runs of alike blocks: 50 residue classes of 200, more than a pass holds;
+    # blocks alike in size and step: 50 residue classes of 200, more than a pass holds;
     # pairs then a singleton tail longer than a pass; pairs and singletons in one pass
     "residue-classes-50": _offsets_row(10_000, 50),
     "singleton-tail-past-a-pass": _offsets_row(cli.PASS + 808, cli.PASS + 508),
@@ -516,17 +516,22 @@ class TestWriterBytes:
             result = compute_fnf(FirstRow(WRITER_ROWS[name]))
             assert np.diff(result.block_bounds).tolist() == [size, size]
 
-    def test_rows_of_runs(self):
+    def test_rows_of_alike_blocks(self):
         pass_ = cli.PASS
-        for name, runs in (("residue-classes-50", [(0, 50, 200, 50)]),
-                           ("singleton-tail-past-a-pass", [(0, 300, 2, pass_ + 508),
-                                                           (300, pass_ + 208, 1, 1)]),
-                           ("two-runs-in-a-pass", [(0, 30, 2, 70), (30, 40, 1, 1)])):
-            table = compute_fnf(FirstRow(WRITER_ROWS[name]))._runs
-            assert list(zip(*(c.tolist() for c in table[:4]))) == runs, name
-        table = compute_fnf(FirstRow(WRITER_ROWS["gathered-then-singletons"]))._runs
-        assert table.step.tolist() == [0] * 850 + [1] and table.count[-1] == 130
-        # the 50 classes take several passes of several blocks; the two runs fit one pass
+        for name, sizes in (("residue-classes-50", [200] * 50),
+                            ("singleton-tail-past-a-pass", [2] * 300 + [1] * (pass_ + 208)),
+                            ("two-runs-in-a-pass", [2] * 30 + [1] * 40)):
+            result = compute_fnf(FirstRow(WRITER_ROWS[name]))
+            assert np.diff(result.block_bounds).tolist() == sizes, name
+            # the blocks of each size are progressions of one step, sharing a row
+            assert all(np.shares_memory(b.first_row, result.row.entries) for b in result.blocks)
+            assert len(result._rows) == len(set(sizes)), name
+        result = compute_fnf(FirstRow(WRITER_ROWS["gathered-then-singletons"]))
+        sizes = np.diff(result.block_bounds)
+        assert sizes.size == 980 and set(sizes[:850].tolist()) == {6, 4} and (sizes[850:] == 1).all()
+        assert not any(np.shares_memory(b.first_row, result.row.entries)
+                       for b in result.blocks[:850])
+        # the 50 classes take several passes of several blocks; the two kinds fit one pass
         assert 2 * 200 <= pass_ < 50 * 200 and 100 <= pass_
 
     def test_rows_cut_into_several_blocks(self):

@@ -117,19 +117,16 @@ class TestExtractBlocks:
         assert peak < 2 * fnf._GAPS * result.permutation.itemsize, peak
 
 
-def _reference_runs(result):
-    """The run table's columns, block by block from ``np.diff(vertices)``."""
+def _reference_shapes(result):
+    """Each block's ``(size, step)`` from ``np.diff(vertices)``, step 0 for a gathered block."""
     perm, bounds = result.permutation, result.block_bounds
-    first, size, step = [], [], []
+    shapes = []
     for k in range(bounds.size - 1):
         vertices = perm[bounds[k]:bounds[k + 1]]
         gaps = np.diff(vertices)
         d = int(gaps[0]) if gaps.size and (gaps == gaps[0]).all() else int(gaps.size == 0)
-        if not first or d == 0 or (vertices.size, d) != (size[-1], step[-1]):
-            first.append(k)
-            size.append(vertices.size)
-            step.append(d)
-    return first, np.diff(first + [bounds.size - 1]).tolist(), size, step
+        shapes.append((vertices.size, d))
+    return shapes
 
 
 def _every_offset_set(top):
@@ -138,46 +135,45 @@ def _every_offset_set(top):
             yield n, [s for s in range(1, n) if mask >> (s - 1) & 1]
 
 
-class TestBlockRuns:
-    """Runs of consecutive blocks alike in size and progression step."""
+class TestSharedRows:
+    """Blocks alike in size and progression step hold one view of the row."""
 
-    def test_runs_match_a_per_block_reference(self, monkeypatch):
-        # _GAPS positions per chunk of blocks, from 1 (a chunk per block, the
-        # gaps read one at a time) up, so chunk edges fall everywhere
+    @staticmethod
+    def _assert_rows_shared(res, blocks):
+        held = {}
+        for b, (m, d) in zip(blocks, _reference_shapes(res)):
+            assert not b.first_row.flags.writeable
+            assert np.shares_memory(b.first_row, res.row.entries) == (d > 0)
+            if d:
+                assert held.setdefault((m, d), b.first_row) is b.first_row
+        return held
+
+    def test_alike_blocks_share_a_row_against_a_per_block_reference(self, monkeypatch):
+        # _GAPS from 1 (the gaps read one at a time) up, so chunk edges fall everywhere
         gathered = shared = 0
         for i, (n, offsets) in enumerate([*_every_offset_set(12), *sweep_instances()]):
             monkeypatch.setattr(fnf, "_GAPS", (1, 2, 3, 5, 8, 1 << 16)[i % 6])
             res = compute_fnf(row_from_offsets(n, offsets))
-            runs = res._runs
-            want = _reference_runs(res)
-            assert [c.tolist() for c in runs[:4]] == list(want), (n, offsets)
-            for m, d, row in zip(runs.size.tolist(), runs.step.tolist(), runs.rows):
-                assert (row is None) == (d == 0)
-                if d:
-                    assert np.shares_memory(row, res.row.entries) and not row.flags.writeable
-                    assert row.tolist() == res.row.entries[:(m - 1) * d + 1:d].tolist()
-            gathered += want[3].count(0)
-            shared += sum(c > 1 for c in want[1])
-        assert gathered > 1000 and shared > 1000  # both kinds of run are covered
+            blocks = tuple(res.blocks)
+            held = self._assert_rows_shared(res, blocks)
+            assert len(res._rows) == len(held)
+            assert all(res._rows[(m - 1) * d, d] is row for (m, d), row in held.items())
+            shapes = _reference_shapes(res)
+            gathered += sum(d == 0 for _, d in shapes)
+            shared += len(shapes) - len(held) - sum(d == 0 for _, d in shapes)
+        assert gathered > 1000 and shared > 1000  # both kinds of block are covered
 
-    @pytest.mark.parametrize("n, offsets", [
-        (31, [12, 18, 24, 29]),    # a gathered block, then a run of 3 residue classes
-        (7, []),                   # one run of singletons
-        (10_000, [50]),            # one run of 50 residue classes
-        (100, [70]),               # 30 pairs of step 70, then 40 singletons
+    @pytest.mark.parametrize("n, offsets, shapes", [
+        (31, [12, 18, 24, 29], 2),   # a gathered block, then 3 residue classes
+        (7, [], 1),                  # 7 singletons
+        (10_000, [50], 1),           # 50 residue classes
+        (100, [70], 2),              # 30 pairs of step 70, then 40 singletons
     ])
-    def test_blocks_of_a_run_share_one_read_only_row(self, n, offsets):
+    def test_blocks_alike_share_one_read_only_row(self, n, offsets, shapes):
         res = compute_fnf(row_from_offsets(n, offsets))
-        blocks, runs = res.blocks, res._runs
-        assert len(runs.first) <= 2
-        for first, count, step in zip(runs.first.tolist(), runs.count.tolist(),
-                                      runs.step.tolist()):
-            row = blocks[first].first_row
-            assert not row.flags.writeable
-            assert np.shares_memory(row, res.row.entries) == (step > 0)
-            for k in range(first, first + count):
-                assert (blocks[k].first_row is row) == (step > 0)
-                assert blocks[k].first_row.tolist() == row.tolist()
+        assert len(set(_reference_shapes(res))) == shapes
+        blocks = res.blocks
+        self._assert_rows_shared(res, (*blocks, *blocks))
 
     def test_a_gathered_block_never_shares_its_row(self):
         # {1, 3, 4, 7} spans 3 * 2 but is no progression, and {2, 5, 6} is none either
@@ -185,17 +181,16 @@ class TestBlockRuns:
         res = FnfResult(row=row, cis=ComponentIndexSequence(7, 2, [1, 2, 1, 1, 2, 2, 1]),
                         permutation=np.array([1, 3, 4, 7, 2, 5, 6]),
                         block_bounds=np.array([0, 4, 7]), trace=compute_fnf(row).trace)
-        assert res._runs.step.tolist() == [0, 0] and res._runs.count.tolist() == [1, 1]
         for b in (*res.blocks, *res.blocks):
             assert not np.shares_memory(b.first_row, row.entries)
         assert res.blocks[0].first_row is not res.blocks[0].first_row
+        assert res._rows == {}
 
-    def test_the_table_is_built_once_on_first_read(self):
+    def test_a_view_is_made_on_first_read_and_kept(self):
         res = compute_fnf(FirstRow(np.zeros(50)))
-        assert "_runs" not in vars(res)  # compute_fnf builds no table
-        res.blocks[3]
-        runs = res._runs
-        assert res._runs is runs and res.blocks[7].first_row is runs.rows[0]
+        assert "_rows" not in vars(res)  # compute_fnf makes no view
+        row = res.blocks[3].first_row
+        assert res._rows == {(0, 1): row} and res.blocks[7].first_row is row
 
     def test_holding_every_row_costs_a_pointer_per_block(self):
         # the all-zero row's blocks hold one view: the list of them costs its slots
@@ -208,19 +203,6 @@ class TestBlockRuns:
             tracemalloc.stop()
         assert len(rows) == res.component_count == 1 << 16
         assert held < 16 * len(rows), held
-
-    @pytest.mark.parametrize("offsets", [[], [2], [3 << 20, (3 << 20) + 5, (1 << 22) - 7]])
-    def test_building_the_table_makes_no_order_sized_temporary(self, offsets):
-        # c = n singletons; two residue classes, whose gaps are read; a gathered
-        # block of about n / 2 and about n / 2 singletons
-        res = compute_fnf(row_from_offsets(1 << 22, offsets))
-        tracemalloc.start()
-        try:
-            res._runs
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < res.permutation.nbytes / 4, peak
 
 
 class TestPermutationFromCis:
@@ -388,24 +370,21 @@ class TestComputeFnf:
         bounds[-1] -= 1
         with pytest.raises(ValueError, match="cut 0..n"):
             FnfResult(**{**fields, "block_bounds": bounds})
-        # bounds that do not increase, or are no integer array, cut no blocks
+        # bounds that do not increase cut no blocks
         repeated = res.block_bounds.copy()
         repeated[1] = repeated[2]
-        falling = res.block_bounds[[0, 2, 1, 3, 4]]
-        for bad in (repeated, falling, falling.astype(np.uint64), res.block_bounds.tolist(),
-                    res.block_bounds.astype(float), res.block_bounds[None, :]):
+        for bad in (repeated, res.block_bounds[[0, 2, 1, 3, 4]], res.block_bounds[None, :]):
             with pytest.raises(ValueError, match="cut 0..n"):
                 FnfResult(**{**fields, "block_bounds": bad})
-
-    def test_compute_fnf_skips_the_results_checks(self, monkeypatch):
-        # the replay's arrays cut 0..n by construction, so compute_fnf pays no O(c) check
-        def refuse(self):
-            raise AssertionError("FnfResult checks run")
-
-        monkeypatch.setattr(FnfResult, "__post_init__", refuse)
-        res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
-        assert np.diff(res.block_bounds).tolist() == [16, 5, 5, 5]
-        assert not res.permutation.flags.writeable and not res.block_bounds.flags.writeable
+        # the bounds are integers of the permutation's dtype, which the writers index by
+        other = np.uint64 if res.block_bounds.dtype != np.uint64 else np.int64
+        for bad in (res.block_bounds.tolist(), res.block_bounds.astype(float),
+                    res.block_bounds.astype(other)):
+            with pytest.raises(ValueError, match="permutation's dtype"):
+                FnfResult(**{**fields, "block_bounds": bad})
+        with pytest.raises(ValueError, match="permutation's dtype"):
+            FnfResult(**{**fields, "permutation": res.permutation.astype(float),
+                         "block_bounds": res.block_bounds.astype(float)})
 
     def test_result_freezes_a_view_of_the_callers_arrays(self):
         res = compute_fnf(row_from_offsets(31, [12, 18, 24, 29]))
@@ -468,11 +447,8 @@ def _assert_canonical_labels(n, offsets):
         v, gaps = b.vertices, np.diff(b.vertices)
         assert np.array_equal(b.first_row, res.row.entries[v - v[0]])
         assert np.shares_memory(b.first_row, res.row.entries) == bool(np.all(gaps == gaps[:1]))
-    # the blocks of a run of progressions hold one row
-    runs = res._runs
-    for first, count in zip(runs.first[runs.step > 0].tolist(), runs.count[runs.step > 0].tolist()):
-        assert all(blocks[k].first_row is blocks[first].first_row
-                   for k in range(first, first + count))
+    # the blocks alike in size and progression step hold one row
+    TestSharedRows._assert_rows_shared(res, blocks)
     sizes = np.diff(res.block_bounds)
     rho = res.cis.rho
     assert rho[res.permutation - 1].tolist() == np.repeat(np.arange(1, sizes.size + 1),
